@@ -114,10 +114,11 @@ impl RunConfig {
     }
 
     /// `full()` with its run lengths multiplied by `factor` (clamped to
-    /// sane minimums). `factor <= 0` is ignored.
+    /// sane minimums). A non-finite or `<= 0` factor is ignored: an
+    /// infinite one would saturate the run lengths to `u64::MAX`.
     pub fn scaled(seed: u64, factor: f64) -> Self {
         let mut cfg = Self::full(seed);
-        if factor > 0.0 {
+        if factor.is_finite() && factor > 0.0 {
             cfg.warmup_refs = ((cfg.warmup_refs as f64 * factor) as u64).max(1_000);
             cfg.measured_refs = ((cfg.measured_refs as f64 * factor) as u64).max(2_000);
         }
@@ -560,6 +561,17 @@ mod tests {
             warmup_refs: 2_000,
             measured_refs: 6_000,
         }
+    }
+
+    #[test]
+    fn non_finite_and_non_positive_scales_mean_full_scale() {
+        let full = RunConfig::full(7);
+        for f in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -1.0] {
+            let cfg = RunConfig::scaled(7, f);
+            assert_eq!(cfg.warmup_refs, full.warmup_refs, "factor {f}");
+            assert_eq!(cfg.measured_refs, full.measured_refs, "factor {f}");
+        }
+        assert_eq!(RunConfig::scaled(7, 0.25).measured_refs, full.measured_refs / 4);
     }
 
     #[test]

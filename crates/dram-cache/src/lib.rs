@@ -50,8 +50,7 @@ pub use bank_interleave::BankInterleave;
 pub use gipt::{Gipt, GiptEntry};
 pub use ideal::Ideal;
 pub use l3::{
-    AccessCase, AccessOutcome, AccessRequest, Frame, L3Stats, L3System, MemoryOutcome,
-    SystemParams, TranslationOutcome,
+    AccessCase, Frame, L3Stats, L3System, MemoryOutcome, SystemParams, TranslationOutcome,
 };
 pub use mmu::{ConvTranslation, ConventionalFront, Mmu, MmuParams};
 pub use no_l3::NoL3;

@@ -37,6 +37,7 @@ use tdc_core::experiment::{Job, OrgKind, RunConfig, Workload};
 use tdc_util::stats::{geomean, is_improvement, is_regression, median, regression_threshold, spread};
 use tdc_util::Json;
 
+use crate::cli::parse_scale;
 use crate::kernels::{measure, micro_kernels, Timing};
 use crate::SEED;
 
@@ -312,15 +313,7 @@ fn parse_run(args: &[String]) -> Result<RunOpts, String> {
         match arg.as_str() {
             "--out" => opts.out = PathBuf::from(value("--out")?),
             "--stamp-dir" => opts.stamp_dir = PathBuf::from(value("--stamp-dir")?),
-            "--scale" => {
-                let f = value("--scale")?
-                    .parse::<f64>()
-                    .map_err(|_| "--scale needs a number".to_string())?;
-                if f <= 0.0 {
-                    return Err("--scale must be positive".into());
-                }
-                opts.scale = f;
-            }
+            "--scale" => opts.scale = parse_scale(&value("--scale")?)?,
             "--jobs" => {
                 opts.jobs = value("--jobs")?
                     .parse::<usize>()

@@ -4,20 +4,21 @@
 //! tdc list                          # what can be generated
 //! tdc fig07 fig08                   # selected figures, shared cache
 //! tdc all --jobs 8 --scale 0.1     # everything, 8 workers, short runs
+//! tdc all --shard 2/4 --cache-dir s2  # one slice of a fleet sweep
 //! ```
 //!
 //! The `figNN`/`tableN` binaries in `crates/bench` are thin wrappers
 //! over [`run`], so `cargo run -p tdc-bench --bin fig07` and
 //! `tdc fig07` are the same code path.
 
-use std::io;
 use std::path::PathBuf;
 // Wall-clock here only feeds the stderr summary and metrics.json, the
 // one deliberately nondeterministic artifact.
 use std::time::Instant; // tdc-lint: allow(time-source)
+use tdc_core::experiment::Job;
 use tdc_core::RunConfig;
 
-use crate::figures::{generate, ALL_IDS};
+use crate::figures::{generate, plan_for, shard_jobs, ALL_IDS};
 use crate::harness::Harness;
 use crate::sink::{write_metrics, write_results};
 use crate::SEED;
@@ -30,6 +31,7 @@ struct Options {
     seed: u64,
     out: Option<PathBuf>,
     cache_dir: Option<PathBuf>,
+    shard: Option<(u64, u64)>,
     quiet: bool,
 }
 
@@ -55,13 +57,6 @@ COMMANDS:
     diff <baseline-dir>
                 Regenerate figures and compare against a checked-in
                 baseline; exit non-zero on drift ('tdc diff -h')
-    shard <K>/<N>
-                Run shard K of an N-way hash partition of the full
-                evaluation; write partial runs/ plus a manifest
-                ('tdc shard -h')
-    merge <shard-dir>...
-                Validate a complete shard set and recombine it into
-                one results tree without re-simulating ('tdc merge -h')
     bench run|check|history
                 Commit-stamped performance history: run the measurement
                 kernels, gate against a checked-in baseline with
@@ -83,6 +78,11 @@ OPTIONS:
     --cache-dir DIR
                 Warm-start from (and persist results to) the same
                 content-addressed store 'tdc serve --cache-dir' uses
+    --shard K/N Only simulate the requested cells that hash to slice K
+                of an N-way partition and persist them to --cache-dir
+                (required); writes no figures or artifacts. Recombine
+                by copying every slice's cell-*.json into one store and
+                running 'tdc all --cache-dir' on it
     --quiet     Suppress per-job progress lines on stderr
     -h, --help  Show this help
 
@@ -97,6 +97,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
         seed: SEED,
         out: Some(PathBuf::from("results")),
         cache_dir: None,
+        shard: None,
         quiet: false,
     };
     let mut it = args.iter();
@@ -113,15 +114,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     .map_err(|_| "--jobs needs a positive integer".to_string())?
                     .max(1)
             }
-            "--scale" => {
-                let f = value("--scale")?
-                    .parse::<f64>()
-                    .map_err(|_| "--scale needs a number".to_string())?;
-                if f <= 0.0 {
-                    return Err("--scale must be positive".into());
-                }
-                opts.scale = Some(f);
-            }
+            "--scale" => opts.scale = Some(parse_scale(&value("--scale")?)?),
             "--seed" => {
                 opts.seed = value("--seed")?
                     .parse::<u64>()
@@ -130,6 +123,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--out" => opts.out = Some(PathBuf::from(value("--out")?)),
             "--no-out" => opts.out = None,
             "--cache-dir" => opts.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
+            "--shard" => opts.shard = Some(parse_shard(&value("--shard")?)?),
             "--quiet" => opts.quiet = true,
             "-h" | "--help" => return Err(USAGE.to_string()),
             "list" => opts.ids.push("list".into()),
@@ -145,7 +139,36 @@ fn parse(args: &[String]) -> Result<Options, String> {
     if opts.ids.is_empty() {
         return Err(USAGE.to_string());
     }
+    if opts.shard.is_some() && opts.cache_dir.is_none() {
+        return Err("--shard needs --cache-dir: a slice's only output is its store".into());
+    }
     Ok(opts)
+}
+
+/// Parses a `--scale` value: a finite run-length factor above zero.
+/// An infinite factor would saturate run lengths to `u64::MAX` (a run
+/// that never ends) and NaN would silently mean full scale, so both
+/// are usage errors. Every subcommand that takes `--scale` uses this.
+pub fn parse_scale(s: &str) -> Result<f64, String> {
+    let f = s
+        .parse::<f64>()
+        .map_err(|_| format!("--scale needs a number, got '{s}'"))?;
+    if !f.is_finite() || f <= 0.0 {
+        return Err(format!("--scale must be a finite number above 0, got '{s}'"));
+    }
+    Ok(f)
+}
+
+/// Parses a `--shard` spec `K/N` (both at least 1, K at most N).
+fn parse_shard(spec: &str) -> Result<(u64, u64), String> {
+    let bad = || format!("bad --shard '{spec}' (expected K/N with 1 <= K <= N, e.g. 2/4)");
+    let (k, n) = spec.split_once('/').ok_or_else(bad)?;
+    let k = k.trim().parse::<u64>().map_err(|_| bad())?;
+    let n = n.trim().parse::<u64>().map_err(|_| bad())?;
+    if k == 0 || k > n {
+        return Err(bad());
+    }
+    Ok((k, n))
 }
 
 /// The configuration a CLI invocation runs under.
@@ -163,8 +186,6 @@ pub fn run(args: &[String]) -> i32 {
         Some("trace") => return crate::trace::run(&args[1..]),
         Some("prof") => return crate::prof::run(&args[1..]),
         Some("diff") => return crate::diff::run(&args[1..]),
-        Some("shard") => return crate::shard::run(&args[1..]),
-        Some("merge") => return crate::merge::run(&args[1..]),
         Some("bench") => return crate::bench::run(&args[1..]),
         Some("lint") => return tdc_lint::cli::run(&args[1..]),
         Some("serve") => return crate::serve::run(&args[1..]),
@@ -211,6 +232,13 @@ pub fn run(args: &[String]) -> i32 {
         },
         None => None,
     };
+    // A fleet slice only fills its store: the fleet recombines by
+    // copying every slice's entries into one directory (content
+    // addressed, so a plain union) and running `tdc all --cache-dir`.
+    if let (Some((k, n)), Some(store)) = (opts.shard, &store) {
+        harness.run_all(&shard_jobs(&plan_for(&opts.ids, &cfg), k, n));
+        return persist_results(&harness, store, opts.quiet);
+    }
     if !opts.quiet {
         println!(
             "tdc | {} figure(s) | jobs={} | seed={} | warmup={} measured={} refs/core",
@@ -288,26 +316,10 @@ pub fn run(args: &[String]) -> i32 {
         }
     }
 
-    if let Some(store) = &store {
-        match persist_results(&harness, store) {
-            Ok(persisted) => {
-                if !opts.quiet && persisted > 0 {
-                    eprintln!(
-                        "tdc: persisted {persisted} cell(s) to {}",
-                        store.dir().display()
-                    );
-                }
-            }
-            Err(e) => {
-                eprintln!(
-                    "tdc: failed to persist results to {}: {e}",
-                    store.dir().display()
-                );
-                return 1;
-            }
-        }
+    match &store {
+        Some(store) => persist_results(&harness, store, opts.quiet),
+        None => 0,
     }
-    0
 }
 
 /// Preloads every stored cell the requested figures can use. Cells
@@ -319,13 +331,8 @@ fn warm_start(
     ids: &[String],
     cfg: &RunConfig,
 ) -> Result<usize, String> {
-    use crate::figures::jobs_for;
-    let mut wanted = std::collections::BTreeSet::new();
-    for id in ids {
-        for job in jobs_for(id, cfg).into_iter().flatten() {
-            wanted.insert(job.cache_key());
-        }
-    }
+    let wanted: std::collections::BTreeSet<String> =
+        plan_for(ids, cfg).iter().map(Job::cache_key).collect();
     let (entries, _skipped) = store.load_all().map_err(|e| e.to_string())?;
     let mut warmed = 0usize;
     for (key, doc) in entries {
@@ -345,12 +352,20 @@ fn warm_start(
 }
 
 /// Writes every cached cell to the store (first write per key wins).
-fn persist_results(harness: &Harness, store: &tdc_serve::ResultStore) -> io::Result<usize> {
+/// Returns the process exit code.
+fn persist_results(harness: &Harness, store: &tdc_serve::ResultStore, quiet: bool) -> i32 {
     let before = store.counters().persisted;
     for (key, report) in harness.results() {
-        store.put(&key, &crate::sink::report_json(&key, &report))?;
+        if let Err(e) = store.put(&key, &crate::sink::report_json(&key, &report)) {
+            eprintln!("tdc: failed to persist results to {}: {e}", store.dir().display());
+            return 1;
+        }
     }
-    Ok((store.counters().persisted - before) as usize)
+    let persisted = store.counters().persisted - before;
+    if !quiet && persisted > 0 {
+        eprintln!("tdc: persisted {persisted} cell(s) to {}", store.dir().display());
+    }
+    0
 }
 
 /// Convenience for the thin `figNN` wrapper binaries: runs exactly one
@@ -388,6 +403,14 @@ mod tests {
         assert!(parse(&[]).is_err());
         assert!(parse(&["--jobs".to_string(), "x".to_string()]).is_err());
         assert!(parse(&["--scale".to_string(), "-1".to_string()]).is_err());
+    }
+
+    #[test]
+    fn parse_scale_rejects_hostile_values() {
+        for bad in ["nan", "inf", "1e400", "-1", "0", "", "x"] {
+            assert!(parse_scale(bad).is_err(), "accepted {bad:?}");
+        }
+        assert_eq!(parse_scale("0.25"), Ok(0.25));
     }
 
     #[test]

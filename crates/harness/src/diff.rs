@@ -20,6 +20,7 @@ use std::path::{Path, PathBuf};
 use tdc_core::RunConfig;
 use tdc_util::Json;
 
+use crate::cli::parse_scale;
 use crate::figures::generate;
 use crate::harness::Harness;
 use crate::sink::config_json;
@@ -86,15 +87,7 @@ fn parse(args: &[String]) -> Result<DiffOptions, String> {
                     .map_err(|_| "--jobs needs a positive integer".to_string())?
                     .max(1)
             }
-            "--scale" => {
-                let f = value("--scale")?
-                    .parse::<f64>()
-                    .map_err(|_| "--scale needs a number".to_string())?;
-                if f <= 0.0 {
-                    return Err("--scale must be positive".into());
-                }
-                opts.scale = Some(f);
-            }
+            "--scale" => opts.scale = Some(parse_scale(&value("--scale")?)?),
             "--seed" => {
                 opts.seed = value("--seed")?
                     .parse::<u64>()
@@ -127,8 +120,7 @@ fn parse(args: &[String]) -> Result<DiffOptions, String> {
 /// Recursively compares `got` against `want`, pushing one human-readable
 /// line per drifting leaf (paths like `rows[3].norm_ipc`). Numeric
 /// leaves use relative tolerance `tol`; everything else must be equal.
-/// Shared with `tdc merge`'s `--diff` gate.
-pub(crate) fn collect_drift(path: &str, want: &Json, got: &Json, tol: f64, out: &mut Vec<String>) {
+fn collect_drift(path: &str, want: &Json, got: &Json, tol: f64, out: &mut Vec<String>) {
     let num = |j: &Json| -> Option<f64> {
         match j {
             Json::U64(v) => Some(*v as f64),

@@ -9,13 +9,14 @@
 //! same stdout table the serial `tdc-bench` code printed, plus a JSON
 //! summary for `results/`.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use tdc_core::experiment::{Job, OrgKind, Workload};
 use tdc_core::{AmatInputs, AmatModel, RunConfig, RunReport};
 use tdc_sram_cache::TagArrayModel;
 use tdc_trace::profiles::{MIXES, PARSEC_NAMES, SPEC_NAMES};
-use tdc_util::{geomean, Json};
+use tdc_util::{geomean, shard_of, Json};
 
 use crate::harness::Harness;
 use crate::sink::config_json;
@@ -78,10 +79,9 @@ const FIG12_ORGS: [OrgKind; 4] = [
 ///
 /// This is the **single source of truth** shared by the generators
 /// below (which feed the list to [`Harness::run_all`] and consume the
-/// results positionally) and by the shard planner
-/// ([`crate::shard::plan`], which unions the lists over [`ALL_IDS`] to
-/// partition the sweep across machines). A figure added here is
-/// automatically part of the sharded sweep.
+/// results positionally) and by [`plan_for`], which unions the lists
+/// into the job plan that `tdc all --shard` partitions and `tdc serve`
+/// exposes. A figure added here is automatically part of both.
 pub fn jobs_for(id: &str, cfg: &RunConfig) -> Option<Vec<Job>> {
     let spec = |b: &str, org: OrgKind| Job::new(Workload::Spec(b.to_string()), org, *cfg);
     let mix = |m: &str, org: OrgKind| Job::new(Workload::Mix(m.to_string()), org, *cfg);
@@ -146,6 +146,36 @@ pub fn jobs_for(id: &str, cfg: &RunConfig) -> Option<Vec<Job>> {
         _ => return None,
     };
     Some(jobs)
+}
+
+/// The deduplicated job plan of the figures `ids`: the union of their
+/// [`jobs_for`] lists with exact duplicates (same cache key) removed,
+/// sorted by cache key. Unknown ids contribute nothing.
+pub fn plan_for<S: AsRef<str>>(ids: &[S], cfg: &RunConfig) -> Vec<Job> {
+    let mut jobs = BTreeMap::new();
+    for id in ids {
+        for job in jobs_for(id.as_ref(), cfg).into_iter().flatten() {
+            jobs.entry(job.cache_key()).or_insert(job);
+        }
+    }
+    jobs.into_values().collect()
+}
+
+/// The full `tdc all` plan: [`plan_for`] over [`ALL_IDS`].
+pub fn plan(cfg: &RunConfig) -> Vec<Job> {
+    plan_for(&ALL_IDS, cfg)
+}
+
+/// The jobs of `plan` that `tdc all --shard K/N` simulates, in plan
+/// order: those whose cache key hashes to shard `k` of `n`
+/// ([`tdc_util::shard_of`]). Membership depends only on the job's own
+/// key, so adding figures never moves an existing cell to another
+/// shard.
+pub fn shard_jobs(plan: &[Job], k: u64, n: u64) -> Vec<Job> {
+    plan.iter()
+        .filter(|j| shard_of(&j.cache_key(), n) == k)
+        .cloned()
+        .collect()
 }
 
 /// Generates one figure by id. `None` for unknown ids.

@@ -95,9 +95,10 @@ impl Harness {
     }
 
     /// Seeds the cache with an already-computed report, as if the job
-    /// with `key` had just run. `tdc merge` uses this to rehydrate a
-    /// harness from shard artifacts so figure generation is pure cache
-    /// hits; callers must only preload reports the keyed job would
+    /// with `key` had just run. A `--cache-dir` warm start uses this to
+    /// rehydrate a harness from result-store entries so figure
+    /// generation is pure cache hits; callers must only preload reports
+    /// the keyed job would
     /// itself have produced, or the determinism contract breaks.
     pub fn preload(&self, key: String, report: RunReport) -> Arc<RunReport> {
         self.cache.insert(key, report)

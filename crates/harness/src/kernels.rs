@@ -31,9 +31,7 @@ use std::hint::black_box;
 // deterministic artifacts.
 use std::time::Instant; // tdc-lint: allow(time-source)
 use tdc_dram::{AccessKind, DramConfig, DramController};
-use tdc_dram_cache::{
-    AccessRequest, L3System, SramTagCache, SystemParams, TaglessCache, VictimPolicy,
-};
+use tdc_dram_cache::{L3System, SramTagCache, SystemParams, TaglessCache, VictimPolicy};
 use tdc_sram_cache::{CacheGeometry, Replacement, SetAssocCache};
 use tdc_trace::{profiles, SyntheticWorkload, TraceSource};
 use tdc_util::obs::LogHistogram;
@@ -192,12 +190,6 @@ pub fn micro_kernels() -> Vec<Kernel> {
             factory: k_tagless_cold_fill,
         },
         Kernel {
-            group: "access_path",
-            name: "tagless_batch_hit",
-            iters: 20_000,
-            factory: k_tagless_batch_hit,
-        },
-        Kernel {
             group: "set_assoc_cache",
             name: "lru",
             iters: 2_000_000,
@@ -330,35 +322,6 @@ fn k_sram_tag_warm_hit() -> Box<dyn FnMut() -> u64> {
         now += 200;
         v += 1;
         m.latency
-    })
-}
-
-/// The batched entry point: 64 warm hits per call through one
-/// `&mut dyn L3System` dispatch ([`L3System::translate_access_batch`]),
-/// measuring the amortized per-reference cost of the fused path.
-fn k_tagless_batch_hit() -> Box<dyn FnMut() -> u64> {
-    let p = small_params();
-    let mut l3 = TaglessCache::new(&p, VictimPolicy::Fifo);
-    for v in 0..16u64 {
-        l3.translate(v * 10_000, 0, Vpn(v), false);
-    }
-    let reqs: Vec<AccessRequest> = (0..64u64)
-        .map(|i| AccessRequest {
-            core: 0,
-            vpn: Vpn(i % 16),
-            block: i % 64,
-            is_write: false,
-        })
-        .collect();
-    let mut out = Vec::with_capacity(reqs.len());
-    let mut now = 1_000_000u64;
-    Box::new(move || {
-        out.clear();
-        let sys: &mut dyn L3System = &mut l3;
-        let done = sys.translate_access_batch(now, 200, &reqs, &mut out);
-        now += 64 * 200;
-        black_box(&out);
-        done
     })
 }
 

@@ -23,7 +23,8 @@
 //!   [`tdc_util::json`]; deterministic bytes, diffable, usable as
 //!   regression baselines).
 //! * [`cli`] — the `tdc` binary: `tdc all --jobs 8`, `tdc fig07`,
-//!   `tdc list`.
+//!   `tdc list`. `tdc all --shard K/N --cache-dir D` runs one
+//!   hash-partitioned slice of a fleet sweep into a result store.
 //! * [`trace`] — `tdc trace <workload>/<org>`: one probed cell,
 //!   exporting interval telemetry and a Chrome/Perfetto trace.
 //! * [`prof`] — `tdc prof <workload>/<org>`: wall-time phase
@@ -31,11 +32,6 @@
 //!   `results/prof.json`.
 //! * [`diff`] — `tdc diff <baseline-dir>`: regression gating against a
 //!   checked-in figure snapshot (non-zero exit on drift).
-//! * [`shard`] — `tdc shard K/N`: run one hash-partitioned slice of
-//!   the evaluation on one machine; emits the slice's `runs/` reports
-//!   plus a manifest.
-//! * [`merge`] — `tdc merge <dir>...`: validate a complete shard set
-//!   and recombine it into one `results/` tree without re-simulating.
 //! * [`kernels`] — the shared micro-benchmark kernel registry and
 //!   repeat-until-stable timing loop (used by `tdc bench` and the
 //!   `cargo bench` front end in `crates/bench`).
@@ -68,11 +64,9 @@ pub mod diff;
 pub mod kernels;
 pub mod figures;
 pub mod harness;
-pub mod merge;
 pub mod pool;
 pub mod prof;
 pub mod serve;
-pub mod shard;
 pub mod sink;
 pub mod trace;
 

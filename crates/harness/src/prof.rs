@@ -28,6 +28,7 @@ use tdc_util::obs::{ProfProbe, ProfRecorder};
 use tdc_util::probe::Phase;
 use tdc_util::Json;
 
+use crate::cli::parse_scale;
 use crate::trace::build_job;
 use crate::SEED;
 
@@ -81,15 +82,7 @@ fn parse(args: &[String]) -> Result<ProfOptions, String> {
                 .ok_or_else(|| format!("{name} needs a value"))
         };
         match arg.as_str() {
-            "--scale" => {
-                let f = value("--scale")?
-                    .parse::<f64>()
-                    .map_err(|_| "--scale needs a number".to_string())?;
-                if f <= 0.0 {
-                    return Err("--scale must be positive".into());
-                }
-                opts.scale = Some(f);
-            }
+            "--scale" => opts.scale = Some(parse_scale(&value("--scale")?)?),
             "--seed" => {
                 opts.seed = value("--seed")?
                     .parse::<u64>()

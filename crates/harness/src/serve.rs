@@ -24,9 +24,9 @@ use tdc_serve::{CacheStats, Engine, ResultStore, Server, ServerConfig};
 use tdc_util::http::Request;
 use tdc_util::{run_tasks, Json, Pcg32, Zipf};
 
-use crate::figures::{generate, jobs_for, ALL_IDS};
+use crate::cli::parse_scale;
+use crate::figures::{generate, jobs_for, plan, ALL_IDS};
 use crate::harness::Harness;
-use crate::shard;
 use crate::sink::{report_from_json, report_json};
 use crate::SEED;
 
@@ -43,7 +43,7 @@ impl PlanEngine {
     /// `jobs` simulations concurrently.
     pub fn new(cfg: RunConfig, jobs: usize) -> Self {
         let harness = Harness::new(cfg, jobs);
-        let plan = shard::plan(&cfg)
+        let plan = plan(&cfg)
             .into_iter()
             .map(|job| (job.cache_key(), job))
             .collect();
@@ -222,15 +222,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     .parse::<usize>()
                     .map_err(|_| "--queue needs a non-negative integer".to_string())?
             }
-            "--scale" => {
-                let f = value("--scale")?
-                    .parse::<f64>()
-                    .map_err(|_| "--scale needs a number".to_string())?;
-                if f <= 0.0 {
-                    return Err("--scale must be positive".into());
-                }
-                opts.scale = Some(f);
-            }
+            "--scale" => opts.scale = Some(parse_scale(&value("--scale")?)?),
             "--seed" => {
                 opts.seed = value("--seed")?
                     .parse::<u64>()
@@ -365,7 +357,7 @@ struct Pass {
 
 fn bench(opts: &Options) -> i32 {
     let cfg = config(opts);
-    let keys: Vec<String> = shard::plan(&cfg).iter().map(Job::cache_key).collect();
+    let keys: Vec<String> = plan(&cfg).iter().map(Job::cache_key).collect();
     if keys.is_empty() {
         eprintln!("tdc serve --bench: empty job plan");
         return 1;
@@ -520,7 +512,7 @@ mod tests {
     #[test]
     fn plan_engine_exposes_the_full_plan() {
         let engine = PlanEngine::new(tiny(), 1);
-        assert_eq!(engine.key_count(), shard::plan(&tiny()).len());
+        assert_eq!(engine.key_count(), plan(&tiny()).len());
         assert_eq!(engine.figure_ids().len(), ALL_IDS.len());
         let amat = engine.figure_keys("amat").expect("amat exists");
         assert!(!amat.is_empty());

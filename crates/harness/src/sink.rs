@@ -130,9 +130,10 @@ pub fn run_filename(key: &str, r: &RunReport) -> String {
 }
 
 /// Parses one `runs/<cell>.json` document (the [`report_json`] format)
-/// back into its cache key and [`RunReport`] — the inverse `tdc merge`
-/// uses to rehydrate a harness cache from shard artifacts without
-/// re-simulating. `Err` names the first missing or mistyped field.
+/// back into its cache key and [`RunReport`] — the inverse a
+/// `--cache-dir` warm start uses to rehydrate a harness cache from
+/// result-store entries without re-simulating. `Err` names the first
+/// missing or mistyped field.
 pub fn report_from_json(doc: &Json) -> Result<(String, RunReport), String> {
     fn f64_at(j: &Json, name: &str) -> Result<f64, String> {
         j.get(name)

@@ -27,6 +27,7 @@ use tdc_trace::profiles;
 use tdc_util::probe::{EventGroup, Recorder, SharedProbe};
 use tdc_util::Json;
 
+use crate::cli::parse_scale;
 use crate::sink::sanitize;
 use crate::SEED;
 
@@ -105,15 +106,7 @@ fn parse(args: &[String]) -> Result<TraceOptions, String> {
                 }
                 opts.events = Some(groups);
             }
-            "--scale" => {
-                let f = value("--scale")?
-                    .parse::<f64>()
-                    .map_err(|_| "--scale needs a number".to_string())?;
-                if f <= 0.0 {
-                    return Err("--scale must be positive".into());
-                }
-                opts.scale = Some(f);
-            }
+            "--scale" => opts.scale = Some(parse_scale(&value("--scale")?)?),
             "--seed" => {
                 opts.seed = value("--seed")?
                     .parse::<u64>()

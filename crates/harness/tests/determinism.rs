@@ -8,7 +8,7 @@ use std::path::Path;
 use std::process::Command;
 use tdc_core::experiment::Job;
 use tdc_core::RunConfig;
-use tdc_harness::shard::{plan, shard_jobs};
+use tdc_harness::figures::{plan, plan_for, shard_jobs};
 use tdc_harness::{figures, generate, Harness, ALL_IDS};
 
 fn tiny() -> RunConfig {
@@ -63,13 +63,19 @@ fn figures_share_the_cache_across_the_whole_set() {
 
 #[test]
 fn sharding_partitions_the_plan_for_every_width() {
-    // For every partition width N and every shard K: the shards are
-    // pairwise disjoint and their union is exactly the deduplicated
-    // plan — no cell lost, none duplicated, for any fleet size.
+    // For every partition width N and every shard K: the slices that
+    // `tdc all --shard K/N` runs are pairwise disjoint and their union
+    // is exactly the deduplicated plan — no cell lost, none duplicated,
+    // for any fleet size.
     let cfg = tiny();
     let full = plan(&cfg);
-    let all_keys: BTreeSet<String> = full.iter().map(Job::cache_key).collect();
+    let keys: Vec<String> = full.iter().map(Job::cache_key).collect();
+    let all_keys: BTreeSet<String> = keys.iter().cloned().collect();
     assert_eq!(all_keys.len(), full.len(), "plan must be duplicate-free");
+    assert!(
+        keys.windows(2).all(|w| w[0] < w[1]),
+        "plan must be sorted by cache key"
+    );
     for n in 1..=8u64 {
         let mut union = BTreeSet::new();
         for k in 1..=n {
@@ -90,7 +96,8 @@ fn sharding_partitions_the_plan_for_every_width() {
 fn shard_membership_is_independent_of_figure_set_growth() {
     // Hash-based partitioning's whole point: a job's shard depends
     // only on its own key, so the assignment computed from any subset
-    // of figures agrees with the assignment computed from all of them.
+    // of figures (the plan `tdc fig09 --shard K/N` slices) agrees with
+    // the assignment computed from all of them.
     let cfg = tiny();
     let n = 4u64;
     let full = plan(&cfg);
@@ -103,6 +110,16 @@ fn shard_membership_is_independent_of_figure_set_growth() {
         })
         .collect();
     for id in ALL_IDS {
+        let sub = plan_for(&[id], &cfg);
+        for k in 1..=n {
+            for job in shard_jobs(&sub, k, n) {
+                let key = job.cache_key();
+                assert_eq!(
+                    full_assignment[&key], k,
+                    "{id}: job {key} is in shard {k} of its figure's plan but not of the full plan"
+                );
+            }
+        }
         for job in figures::jobs_for(id, &cfg).expect("known id") {
             let key = job.cache_key();
             let solo = shard_jobs(&[job], 1, 1);

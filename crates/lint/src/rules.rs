@@ -23,7 +23,7 @@ pub struct RawFinding {
 }
 
 /// `(id, summary)` for every rule, in report order.
-pub const RULES: [(&str, &str); 16] = [
+pub const RULES: [(&str, &str); 15] = [
     (
         "hash-collections",
         "HashMap/HashSet in library code: iteration order is nondeterministic and can leak into artifacts",
@@ -51,10 +51,6 @@ pub const RULES: [(&str, &str); 16] = [
     (
         "design-constants",
         "every DRAM timing constant referenced in DESIGN.md (tXXX) must exist in tdc-dram",
-    ),
-    (
-        "manifest-schema",
-        "the shard-manifest.json schema documented in DESIGN.md must match harness::shard::MANIFEST_FIELDS/MANIFEST_VERSION",
     ),
     (
         "bench-schema",
@@ -128,12 +124,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "design-constants" => {
             "Every DRAM timing token (tRCD, tFAW, ...) referenced in DESIGN.md must \
              exist as a constant in tdc-dram, keeping prose and model in sync."
-        }
-        "manifest-schema" => {
-            "The shard-manifest.json schema is documented in DESIGN.md §10 and \
-             declared in harness::shard::MANIFEST_FIELDS/MANIFEST_VERSION. Both \
-             directions are checked: documented fields must exist in code, code fields \
-             must be documented, and format_version must match."
         }
         "bench-schema" => {
             "The bench-history.jsonl record schema (DESIGN.md §11 versus \
@@ -537,30 +527,13 @@ pub fn design_constants(
         .collect()
 }
 
-/// The `shard-manifest.json` schema has two sources of truth — the
-/// `MANIFEST_FIELDS`/`MANIFEST_VERSION` constants in
-/// `crates/harness/src/shard.rs` and the prose in DESIGN.md — and they
-/// must agree in both directions: every documented field exists in
-/// code, every code field is documented, and the documented
-/// `format_version` matches the constant.
-///
-/// The documented block is anchored by the first DESIGN.md line
-/// containing `shard-manifest.json`; that line carries
-/// `format_version N`, and the backtick-quoted names on it and the
-/// following lines (up to the first blank line) are the documented
-/// fields.
-pub fn manifest_schema(
-    files: &BTreeMap<String, ScannedFile>,
-    design_md: &str,
-) -> Vec<RawFinding> {
-    schema_sync(&MANIFEST_SPEC, files, design_md)
-}
-
-/// The `tdc bench` record schema has the same two-sources-of-truth
-/// shape as the shard manifest — `RECORD_FIELDS`/`RECORD_VERSION` in
-/// `crates/harness/src/bench.rs` versus the DESIGN.md §11 prose — and
-/// gets the same both-directions check, anchored by the first DESIGN.md
-/// line containing `bench-history.jsonl`.
+/// The `tdc bench` record schema has two sources of truth — the
+/// `RECORD_FIELDS`/`RECORD_VERSION` constants in
+/// `crates/harness/src/bench.rs` and the DESIGN.md §11 prose — and
+/// they must agree in both directions: every documented field exists
+/// in code, every code field is documented, and the documented
+/// `format_version` matches the constant. Anchored by the first
+/// DESIGN.md line containing `bench-history.jsonl`.
 pub fn bench_schema(
     files: &BTreeMap<String, ScannedFile>,
     design_md: &str,
@@ -568,7 +541,7 @@ pub fn bench_schema(
     schema_sync(&BENCH_SPEC, files, design_md)
 }
 
-/// The `tdc serve` response envelope is the third two-sources-of-truth
+/// The `tdc serve` response envelope is the second two-sources-of-truth
 /// schema — `WIRE_FIELDS`/`WIRE_VERSION` in `crates/serve/src/wire.rs`
 /// versus the DESIGN.md §12 prose — anchored by the first DESIGN.md
 /// line containing `serve-envelope`.
@@ -598,7 +571,7 @@ pub fn graph_schema(files: &BTreeMap<String, ScannedFile>, design_md: &str) -> V
 }
 
 /// The work-stealing pool's telemetry batch (the `pool` entries in
-/// `results/metrics.json`) is the sixth two-sources-of-truth schema —
+/// `results/metrics.json`) is the fifth two-sources-of-truth schema —
 /// `POOL_FIELDS`/`POOL_VERSION` in `crates/util/src/obs.rs` versus the
 /// DESIGN.md §16 prose — anchored by the first DESIGN.md line
 /// containing `pool-telemetry`.
@@ -627,17 +600,6 @@ struct SchemaSpec {
     /// Noun for the documented-but-missing-in-code message.
     field_noun: &'static str,
 }
-
-const MANIFEST_SPEC: SchemaSpec = SchemaSpec {
-    rule: "manifest-schema",
-    src: "crates/harness/src/shard.rs",
-    fields_const: "MANIFEST_FIELDS",
-    version_const: "MANIFEST_VERSION",
-    anchor: "shard-manifest.json",
-    code_home: "harness::shard",
-    subject: "shard-manifest",
-    field_noun: "manifest field",
-};
 
 const BENCH_SPEC: SchemaSpec = SchemaSpec {
     rule: "bench-schema",
@@ -962,53 +924,6 @@ mod tests {
         assert!(timing_tokens("instant").is_empty());
     }
 
-    fn shard_src(fields: &[&str], version: u64) -> String {
-        let list = fields
-            .iter()
-            .map(|f| format!("    \"{f}\","))
-            .collect::<Vec<_>>()
-            .join("\n");
-        format!(
-            "pub const MANIFEST_VERSION: u64 = {version};\n\
-             pub const MANIFEST_FIELDS: [&str; {}] = [\n{list}\n];\n",
-            fields.len()
-        )
-    }
-
-    fn shard_files(fields: &[&str], version: u64) -> BTreeMap<String, ScannedFile> {
-        let mut files = BTreeMap::new();
-        files.insert(
-            "crates/harness/src/shard.rs".to_string(),
-            scan(&shard_src(fields, version)),
-        );
-        files
-    }
-
-    #[test]
-    fn manifest_schema_passes_when_doc_and_code_agree() {
-        let files = shard_files(&["format_version", "shard"], 1);
-        let doc = "## Manifest\n\n\
-                   `shard-manifest.json` (format_version 1) carries\n\
-                   `format_version` and `shard`.\n\n more prose";
-        assert!(manifest_schema(&files, doc).is_empty());
-    }
-
-    #[test]
-    fn manifest_schema_flags_both_directions_and_version_drift() {
-        let files = shard_files(&["format_version", "shard"], 2);
-        // Documents a bogus field, omits `shard`, and claims version 1.
-        let doc = "`shard-manifest.json` (format_version 1) carries\n\
-                   `format_version` and `bogus_field`.\n";
-        let hits = manifest_schema(&files, doc);
-        assert_eq!(hits.len(), 3, "{hits:?}");
-        assert!(hits.iter().all(|h| h.rule == "manifest-schema" && h.file == "DESIGN.md"));
-        assert!(hits.iter().any(|h| h.message.contains("format_version 1")
-            && h.message.contains("MANIFEST_VERSION is 2")));
-        assert!(hits.iter().any(|h| h.message.contains("`bogus_field`")));
-        assert!(hits.iter().any(|h| h.message.contains("`shard`")
-            && h.message.contains("does not document")));
-    }
-
     fn bench_files(fields: &[&str], version: u64) -> BTreeMap<String, ScannedFile> {
         let list = fields
             .iter()
@@ -1194,16 +1109,6 @@ mod tests {
         assert_eq!(hits.len(), 2, "{hits:?}");
         assert!(hits.iter().any(|h| h.message.contains("Phase::Idle")));
         assert!(hits.iter().any(|h| h.message.contains("EventKind::Reject")));
-    }
-
-    #[test]
-    fn manifest_schema_requires_documentation_when_code_exists() {
-        let files = shard_files(&["format_version"], 1);
-        let hits = manifest_schema(&files, "# DESIGN\n\nno schema here\n");
-        assert_eq!(hits.len(), 1);
-        assert!(hits[0].message.contains("never documents"));
-        // Without the shard module there is nothing to check.
-        assert!(manifest_schema(&BTreeMap::new(), "anything").is_empty());
     }
 
     fn graph_files(fields: &[&str], version: u64) -> BTreeMap<String, ScannedFile> {

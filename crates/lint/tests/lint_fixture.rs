@@ -27,14 +27,13 @@ fn every_rule_flags_its_seeded_violation() {
         .iter()
         .map(|f| (f.raw.rule, f.raw.file.as_str(), f.raw.line, f.status))
         .collect();
-    let expected: [(&str, &str, usize, Status); 18] = [
+    let expected: [(&str, &str, usize, Status); 17] = [
         ("design-constants", "DESIGN.md", 3, Status::New),
-        ("manifest-schema", "DESIGN.md", 6, Status::New),
-        ("bench-schema", "DESIGN.md", 10, Status::New),
-        ("wire-schema", "DESIGN.md", 15, Status::New),
-        ("obs-schema", "DESIGN.md", 19, Status::New),
-        ("graph-schema", "DESIGN.md", 27, Status::New),
-        ("pool-schema", "DESIGN.md", 31, Status::New),
+        ("bench-schema", "DESIGN.md", 6, Status::New),
+        ("wire-schema", "DESIGN.md", 11, Status::New),
+        ("obs-schema", "DESIGN.md", 15, Status::New),
+        ("graph-schema", "DESIGN.md", 23, Status::New),
+        ("pool-schema", "DESIGN.md", 27, Status::New),
         ("hash-collections", "crates/a/src/lib.rs", 4, Status::New),
         ("time-source", "crates/a/src/lib.rs", 7, Status::New),
         ("cast-truncation", "crates/a/src/lib.rs", 8, Status::New),
@@ -48,7 +47,7 @@ fn every_rule_flags_its_seeded_violation() {
         ("probe-coverage", "crates/util/src/probe.rs", 8, Status::New),
     ];
     assert_eq!(hits, expected, "fixture findings drifted");
-    assert_eq!(report.new_count(), 16);
+    assert_eq!(report.new_count(), 15);
     assert!(report.stale.is_empty());
 }
 
@@ -67,7 +66,6 @@ fn fixture_messages_name_the_offender() {
     assert!(msg("probe-coverage").contains("Orphan"));
     assert!(msg("figure-baselines").contains("figB"));
     assert!(msg("design-constants").contains("tFAW"));
-    assert!(msg("manifest-schema").contains("missing_field"));
     assert!(msg("bench-schema").contains("stale_field"));
     assert!(msg("wire-schema").contains("missing_wire_field"));
     assert!(msg("obs-schema").contains("missing_event_field"));
@@ -123,7 +121,7 @@ fn lint_json_is_parseable_and_self_consistent() {
 fn regenerated_ratchet_covers_all_non_pragma_findings() {
     let report = lint_fixture();
     let content = report.ratchet_content();
-    // 17 non-pragma findings across 13 (rule, file) groups.
+    // 16 non-pragma findings across 12 (rule, file) groups.
     assert!(content.contains("panic-in-lib crates/a/src/lib.rs 2"));
     assert!(content.contains("graph-schema DESIGN.md 1"));
     assert!(content.contains("pool-schema DESIGN.md 1"));
@@ -132,7 +130,6 @@ fn regenerated_ratchet_covers_all_non_pragma_findings() {
     assert!(content.contains("panic-reachability crates/serve/src/server.rs 1"));
     assert!(content.contains("hash-collections crates/a/src/lib.rs 1"));
     assert!(content.contains("design-constants DESIGN.md 1"));
-    assert!(content.contains("manifest-schema DESIGN.md 1"));
     assert!(content.contains("bench-schema DESIGN.md 1"));
     assert!(content.contains("wire-schema DESIGN.md 1"));
     assert!(content.contains("obs-schema DESIGN.md 1"));

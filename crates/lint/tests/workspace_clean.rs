@@ -53,25 +53,9 @@ fn workspace_scan_is_not_vacuous() {
         variant_count > 0 || probe.contains("pub enum ProbeEvent"),
         "probe.rs no longer declares ProbeEvent; update the lint rule"
     );
-    // Same for the manifest-schema rule: its two anchors (the schema
-    // constants and the DESIGN.md block) must both exist, so a clean
-    // run means "in sync", not "nothing to compare".
-    let shard = std::fs::read_to_string(
-        workspace_root().join("crates/harness/src/shard.rs"),
-    )
-    .expect("shard.rs readable");
-    assert!(
-        shard.contains("const MANIFEST_FIELDS") && shard.contains("const MANIFEST_VERSION"),
-        "shard.rs no longer declares the manifest schema constants; update the lint rule"
-    );
-    let design = std::fs::read_to_string(workspace_root().join("DESIGN.md"))
-        .expect("DESIGN.md readable");
-    assert!(
-        design.contains("shard-manifest.json"),
-        "DESIGN.md no longer documents the shard manifest schema"
-    );
-    // And the bench-schema rule: the record constants and the §11
-    // block must both exist for a clean run to mean "in sync".
+    // Same for the bench-schema rule: the record constants and the §11
+    // block must both exist, so a clean run means "in sync", not
+    // "nothing to compare".
     let bench = std::fs::read_to_string(
         workspace_root().join("crates/harness/src/bench.rs"),
     )
@@ -80,6 +64,8 @@ fn workspace_scan_is_not_vacuous() {
         bench.contains("const RECORD_FIELDS") && bench.contains("const RECORD_VERSION"),
         "bench.rs no longer declares the record schema constants; update the lint rule"
     );
+    let design = std::fs::read_to_string(workspace_root().join("DESIGN.md"))
+        .expect("DESIGN.md readable");
     assert!(
         design.contains("bench-history.jsonl"),
         "DESIGN.md no longer documents the bench record schema"

@@ -1,8 +1,8 @@
 //! The disk-persisted, content-addressed result store.
 //!
 //! One JSON file per job cache key, named by the FNV-1a hash of the
-//! key (the same [`tdc_util::fnv1a_64`] that `tdc shard` partitions
-//! on), each wrapping the cell's report document in a versioned
+//! key (the same [`tdc_util::fnv1a_64`] that `tdc all --shard`
+//! partitions on), each wrapping the cell's report document in a versioned
 //! entry:
 //!
 //! ```text

@@ -40,7 +40,7 @@ pub fn envelope(endpoint: &str, status: u16, data: Json, error: Option<&str>) ->
 /// explicit cache keys and/or whole figure ids.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SweepRequest {
-    /// Explicit job cache keys (the same strings `tdc shard` hashes).
+    /// Explicit job cache keys (the same strings `tdc all --shard` hashes).
     pub keys: Vec<String>,
     /// Figure ids to expand into their full cell sets.
     pub figures: Vec<String>,

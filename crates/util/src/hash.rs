@@ -1,9 +1,9 @@
 //! Stable, dependency-free string hashing.
 //!
 //! The experiment harness needs hashes that are **stable across
-//! processes, platforms, and releases**: shard partitioning assigns a
-//! job to a machine by hashing its cache key, and artifact filenames
-//! embed a key hash. `std::hash` makes no such stability promise (and
+//! processes, platforms, and releases**: `tdc all --shard` assigns a
+//! job to a machine by hashing its cache key, and artifact and
+//! result-store filenames embed a key hash. `std::hash` makes no such stability promise (and
 //! `DefaultHasher` is explicitly allowed to change), so we pin FNV-1a
 //! here and treat its output as part of the artifact format.
 

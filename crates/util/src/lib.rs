@@ -14,7 +14,7 @@
 //!   histograms, geometric means, and the bench-timing stability
 //!   predicate used by the experiment reports.
 //! * [`hash`] — stable FNV-1a string hashing ([`fnv1a_64`]) and the
-//!   hash-based shard assignment ([`shard_of`]) behind `tdc shard`;
+//!   hash-based shard assignment ([`shard_of`]) behind `tdc all --shard`;
 //!   stability across processes and releases is part of the contract.
 //! * [`json`] — a dependency-free JSON value type with a deterministic
 //!   writer and strict parser, used by the experiment harness for its

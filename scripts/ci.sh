@@ -69,14 +69,21 @@ echo "== smoke: tdc prof (phase attribution, >= 95% of wall accounted) =="
 ./target/release/tdc prof mcf/ctlb --scale 0.02 --out "$out" --min-attributed 95
 test -s "$out/prof.json" || { echo "prof wrote no prof.json" >&2; exit 1; }
 
-echo "== smoke: 2-way shard + merge + diff gate at 25% scale =="
-./target/release/tdc shard 1/2 --scale 0.25 --jobs 2 --quiet --out "$out/s1"
-./target/release/tdc shard 2/2 --scale 0.25 --jobs 2 --quiet --out "$out/s2"
-test -s "$out/s1/shard-manifest.json" || { echo "shard 1 wrote no manifest" >&2; exit 1; }
-test -s "$out/s2/shard-manifest.json" || { echo "shard 2 wrote no manifest" >&2; exit 1; }
-./target/release/tdc merge "$out/s1" "$out/s2" --quiet --out "$out/merged" \
-    --diff baselines/scale-0.25
-test -s "$out/merged/index.json" || { echo "merge wrote no index.json" >&2; exit 1; }
+echo "== smoke: 2-way --shard fleet sweep recombined from its stores at 25% scale =="
+./target/release/tdc all --shard 1/2 --scale 0.25 --jobs 2 --quiet --cache-dir "$out/s1"
+./target/release/tdc all --shard 2/2 --scale 0.25 --jobs 2 --quiet --cache-dir "$out/s2"
+mkdir -p "$out/fleet"
+cp "$out/s1"/cell-*.json "$out/s2"/cell-*.json "$out/fleet/"
+./target/release/tdc all --scale 0.25 --jobs 2 --quiet --out "$out/merged" \
+    --cache-dir "$out/fleet"
+grep -q '"executed": 0' "$out/merged/metrics.json" \
+    || { echo "shard set incomplete: the warm run re-simulated cells" >&2; exit 1; }
+for f in baselines/scale-0.25/*.json; do
+    base="$(basename "$f")"
+    [ "$base" = index.json ] && continue # lists figures in a different order
+    cmp -s "$f" "$out/merged/$base" \
+        || { echo "merged $base differs from baselines/scale-0.25" >&2; exit 1; }
+done
 
 echo "== regression: tdc diff vs baselines/scale-0.25 =="
 ./target/release/tdc diff baselines/scale-0.25 --jobs 2 --quiet
