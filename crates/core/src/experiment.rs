@@ -11,6 +11,8 @@ use tdc_util::probe::{NoProbe, Phase, Probe};
 use tdc_util::PAGE_SIZE;
 use tdc_trace::{page_access_counts, profiles, ParsecTraces, SyntheticWorkload, TraceSource, WorkloadProfile};
 
+pub use tdc_trace::TraceFeed;
+
 /// Global capacity/footprint scale of the experiments.
 ///
 /// The paper's testbed simulates 100M-instruction Simpoint slices
@@ -92,6 +94,11 @@ pub struct RunConfig {
     pub measured_refs: u64,
 }
 
+/// The largest run-length scale factor: 16× full scale is about 38M
+/// references per core. `RunConfig::scaled` ignores anything above it
+/// and `--scale` rejects it.
+pub const MAX_SCALE: f64 = 16.0;
+
 impl RunConfig {
     /// Fast smoke configuration (CI-friendly).
     pub fn quick(seed: u64) -> Self {
@@ -114,11 +121,12 @@ impl RunConfig {
     }
 
     /// `full()` with its run lengths multiplied by `factor` (clamped to
-    /// sane minimums). A non-finite or `<= 0` factor is ignored: an
-    /// infinite one would saturate the run lengths to `u64::MAX`.
+    /// sane minimums). A factor outside `(0, MAX_SCALE]`, NaN included,
+    /// is ignored: a huge or infinite one would saturate the run lengths
+    /// to `u64::MAX`.
     pub fn scaled(seed: u64, factor: f64) -> Self {
         let mut cfg = Self::full(seed);
-        if factor.is_finite() && factor > 0.0 {
+        if factor > 0.0 && factor <= MAX_SCALE {
             cfg.warmup_refs = ((cfg.warmup_refs as f64 * factor) as u64).max(1_000);
             cfg.measured_refs = ((cfg.measured_refs as f64 * factor) as u64).max(2_000);
         }
@@ -242,14 +250,14 @@ fn run_single_with<P: Probe + Clone + 'static>(
     org: OrgKind,
     cfg: &RunConfig,
     mut probe: P,
+    feed: TraceFeed,
 ) -> Option<RunReport> {
     if probe.prof_enabled() {
         probe.phase_begin(Phase::Bookkeeping);
     }
     let profile = scaled(profiles::spec(bench)?);
     let params = cfg.params(1, vec![0]);
-    let trace: Box<dyn TraceSource> =
-        Box::new(SyntheticWorkload::new(profile.clone(), cfg.seed, 0));
+    let trace = feed.source(SyntheticWorkload::new(profile.clone(), cfg.seed, 0));
     let sys = System::with_probe(
         build_probed(org, &params, probe.clone()),
         vec![trace],
@@ -265,7 +273,7 @@ fn run_single_with<P: Probe + Clone + 'static>(
 ///
 /// Returns `None` for an unknown benchmark name.
 pub fn run_single(bench: &str, org: OrgKind, cfg: &RunConfig) -> Option<RunReport> {
-    run_single_with(bench, org, cfg, NoProbe)
+    run_single_with(bench, org, cfg, NoProbe, TraceFeed::Inline)
 }
 
 fn run_mix_with<P: Probe + Clone + 'static>(
@@ -273,6 +281,7 @@ fn run_mix_with<P: Probe + Clone + 'static>(
     org: OrgKind,
     cfg: &RunConfig,
     mut probe: P,
+    feed: TraceFeed,
 ) -> Option<RunReport> {
     if probe.prof_enabled() {
         probe.phase_begin(Phase::Bookkeeping);
@@ -282,8 +291,8 @@ fn run_mix_with<P: Probe + Clone + 'static>(
     let traces: Vec<Box<dyn TraceSource>> = four
         .iter()
         .enumerate()
-        .map(|(i, p)| -> Box<dyn TraceSource> {
-            Box::new(SyntheticWorkload::new(
+        .map(|(i, p)| {
+            feed.source(SyntheticWorkload::new(
                 scaled(p),
                 cfg.seed ^ ((i as u64 + 1) << 48),
                 0,
@@ -311,7 +320,7 @@ fn run_mix_with<P: Probe + Clone + 'static>(
 ///
 /// Returns `None` for an unknown mix name.
 pub fn run_mix(mix_name: &str, org: OrgKind, cfg: &RunConfig) -> Option<RunReport> {
-    run_mix_with(mix_name, org, cfg, NoProbe)
+    run_mix_with(mix_name, org, cfg, NoProbe, TraceFeed::Inline)
 }
 
 fn run_parsec_with<P: Probe + Clone + 'static>(
@@ -319,6 +328,7 @@ fn run_parsec_with<P: Probe + Clone + 'static>(
     org: OrgKind,
     cfg: &RunConfig,
     mut probe: P,
+    feed: TraceFeed,
 ) -> Option<RunReport> {
     if probe.prof_enabled() {
         probe.phase_begin(Phase::Bookkeeping);
@@ -326,7 +336,7 @@ fn run_parsec_with<P: Probe + Clone + 'static>(
     let parsec = ParsecTraces::with_profile(scaled(profiles::parsec(bench)?), cfg.seed);
     let params = cfg.params(4, vec![0; 4]);
     let traces: Vec<Box<dyn TraceSource>> = (0..parsec.threads())
-        .map(|t| -> Box<dyn TraceSource> { Box::new(parsec.thread(t)) })
+        .map(|t| feed.source(parsec.thread(t)))
         .collect();
     let sys = System::with_probe(
         build_probed(org, &params, probe.clone()),
@@ -349,7 +359,7 @@ fn run_parsec_with<P: Probe + Clone + 'static>(
 ///
 /// Returns `None` for an unknown benchmark name.
 pub fn run_parsec(bench: &str, org: OrgKind, cfg: &RunConfig) -> Option<RunReport> {
-    run_parsec_with(bench, org, cfg, NoProbe)
+    run_parsec_with(bench, org, cfg, NoProbe, TraceFeed::Inline)
 }
 
 fn run_single_tagless_nc_with<P: Probe + Clone + 'static>(
@@ -357,6 +367,7 @@ fn run_single_tagless_nc_with<P: Probe + Clone + 'static>(
     cfg: &RunConfig,
     threshold: u64,
     mut probe: P,
+    feed: TraceFeed,
 ) -> Option<RunReport> {
     if probe.prof_enabled() {
         probe.phase_begin(Phase::Bookkeeping);
@@ -377,8 +388,7 @@ fn run_single_tagless_nc_with<P: Probe + Clone + 'static>(
     }
     let _ = flagged;
 
-    let trace: Box<dyn TraceSource> =
-        Box::new(SyntheticWorkload::new(profile.clone(), cfg.seed, 0));
+    let trace = feed.source(SyntheticWorkload::new(profile.clone(), cfg.seed, 0));
     let sys = System::with_probe(Box::new(l3), vec![trace], probe.clone());
     if probe.prof_enabled() {
         probe.phase_end(Phase::Bookkeeping);
@@ -394,7 +404,7 @@ fn run_single_tagless_nc_with<P: Probe + Clone + 'static>(
 ///
 /// Returns `None` for an unknown benchmark name.
 pub fn run_single_tagless_nc(bench: &str, cfg: &RunConfig, threshold: u64) -> Option<RunReport> {
-    run_single_tagless_nc_with(bench, cfg, threshold, NoProbe)
+    run_single_tagless_nc_with(bench, cfg, threshold, NoProbe, TraceFeed::Inline)
 }
 
 /// Runs one single-programmed benchmark on a custom-built organization
@@ -520,7 +530,14 @@ impl Job {
 
     /// Runs the cell. `Err` names the unknown workload.
     pub fn execute(&self) -> Result<RunReport, String> {
-        run_job_probed(self, NoProbe)
+        self.execute_with(TraceFeed::Inline)
+    }
+
+    /// Runs the cell with its trace streams fed `feed`'s way. The report
+    /// is the same for every feed: only the thread that generates the
+    /// streams differs.
+    pub fn execute_with(&self, feed: TraceFeed) -> Result<RunReport, String> {
+        run_job(self, NoProbe, feed)
     }
 }
 
@@ -530,21 +547,33 @@ impl Job {
 ///
 /// Non-tagless organizations only produce the core-side events.
 /// `Err` names the unknown workload.
+///
+/// The streams are generated inline, so a probe that times phases sees
+/// trace generation on the simulation thread.
 pub fn run_job_probed<P: Probe + Clone + 'static>(
     job: &Job,
     probe: P,
 ) -> Result<RunReport, String> {
+    run_job(job, probe, TraceFeed::Inline)
+}
+
+fn run_job<P: Probe + Clone + 'static>(
+    job: &Job,
+    probe: P,
+    feed: TraceFeed,
+) -> Result<RunReport, String> {
     let missing = || format!("unknown workload {:?}", job.workload);
+    let cfg = &job.cfg;
     match (&job.workload, job.nc_threshold) {
         (Workload::Spec(b), Some(t)) => {
-            run_single_tagless_nc_with(b, &job.cfg, t, probe).ok_or_else(missing)
+            run_single_tagless_nc_with(b, cfg, t, probe, feed).ok_or_else(missing)
         }
         (Workload::Spec(b), None) => {
-            run_single_with(b, job.org, &job.cfg, probe).ok_or_else(missing)
+            run_single_with(b, job.org, cfg, probe, feed).ok_or_else(missing)
         }
-        (Workload::Mix(m), None) => run_mix_with(m, job.org, &job.cfg, probe).ok_or_else(missing),
+        (Workload::Mix(m), None) => run_mix_with(m, job.org, cfg, probe, feed).ok_or_else(missing),
         (Workload::Parsec(b), None) => {
-            run_parsec_with(b, job.org, &job.cfg, probe).ok_or_else(missing)
+            run_parsec_with(b, job.org, cfg, probe, feed).ok_or_else(missing)
         }
         (w, Some(_)) => Err(format!("non-cacheable study needs a Spec workload, got {w:?}")),
     }
@@ -566,12 +595,16 @@ mod tests {
     #[test]
     fn non_finite_and_non_positive_scales_mean_full_scale() {
         let full = RunConfig::full(7);
-        for f in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -1.0] {
+        let hostile = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -1.0, 1e300, 17.0];
+        for f in hostile {
             let cfg = RunConfig::scaled(7, f);
             assert_eq!(cfg.warmup_refs, full.warmup_refs, "factor {f}");
             assert_eq!(cfg.measured_refs, full.measured_refs, "factor {f}");
         }
-        assert_eq!(RunConfig::scaled(7, 0.25).measured_refs, full.measured_refs / 4);
+        let quarter = RunConfig::scaled(7, 0.25);
+        assert_eq!(quarter.measured_refs, full.measured_refs / 4);
+        let largest = RunConfig::scaled(7, MAX_SCALE);
+        assert_eq!(largest.measured_refs, full.measured_refs * 16);
     }
 
     #[test]
@@ -648,6 +681,22 @@ mod tests {
     }
 
     #[test]
+    fn prefetch_feed_reports_equal_inline_for_every_cell_kind() {
+        let cfg = tiny();
+        let jobs = [
+            Job::new(Workload::Spec("mcf".into()), OrgKind::Tagless, cfg),
+            Job::new(Workload::Mix("MIX3".into()), OrgKind::SramTag, cfg),
+            Job::new(Workload::Parsec("swaptions".into()), OrgKind::Tagless, cfg),
+            Job::spec_nc("GemsFDTD", 32, cfg),
+        ];
+        for job in jobs {
+            let inline = job.execute_with(TraceFeed::Inline).unwrap();
+            let prefetched = job.execute_with(TraceFeed::Prefetch).unwrap();
+            assert_eq!(inline, prefetched, "{}", job.label());
+        }
+    }
+
+    #[test]
     fn cache_keys_separate_distinct_cells() {
         let cfg = tiny();
         let a = Job::new(Workload::Spec("milc".into()), OrgKind::Tagless, cfg);
@@ -691,5 +740,15 @@ mod tests {
         let e = RunConfig::from_env(1);
         assert!(e.measured_refs == f.measured_refs || std::env::var("TDC_SCALE").is_ok());
         assert!(RunConfig::quick(1).measured_refs < f.measured_refs);
+        // A huge finite factor means full scale, not a run that never
+        // ends. Nothing else in this crate sets the variable.
+        let outer = std::env::var_os("TDC_SCALE");
+        std::env::set_var("TDC_SCALE", "1e300");
+        let huge = RunConfig::from_env(1);
+        match outer {
+            Some(v) => std::env::set_var("TDC_SCALE", v),
+            None => std::env::remove_var("TDC_SCALE"),
+        }
+        assert_eq!(huge.measured_refs, f.measured_refs);
     }
 }

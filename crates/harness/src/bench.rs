@@ -33,7 +33,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use tdc_core::experiment::{Job, OrgKind, RunConfig, Workload};
+use tdc_core::experiment::{Job, OrgKind, RunConfig, TraceFeed, Workload};
 use tdc_util::stats::{geomean, is_improvement, is_regression, median, regression_threshold, spread};
 use tdc_util::Json;
 
@@ -345,7 +345,8 @@ fn measure_figure_cells(
     let mut series: Vec<Vec<f64>> = vec![Vec::new(); cells.len()];
     while series.iter().any(|s| timing.wants_more(s)) {
         let quiet = |_: usize, _: usize, _: &str, _: std::time::Duration| {};
-        let batch = crate::pool::run_batch(&cells, jobs, &quiet);
+        // Inline, so a kernel times the whole cell on one thread.
+        let batch = crate::pool::run_batch(&cells, jobs, TraceFeed::Inline, &quiet);
         for (i, done) in batch.iter().enumerate() {
             if let Err(e) = &done.result {
                 return Err(format!("figure cell {} failed: {e}", cells[i].label()));

@@ -15,7 +15,7 @@ use std::path::PathBuf;
 // Wall-clock here only feeds the stderr summary and metrics.json, the
 // one deliberately nondeterministic artifact.
 use std::time::Instant; // tdc-lint: allow(time-source)
-use tdc_core::experiment::Job;
+use tdc_core::experiment::{Job, MAX_SCALE};
 use tdc_core::RunConfig;
 
 use crate::figures::{generate, plan_for, shard_jobs, ALL_IDS};
@@ -70,8 +70,11 @@ COMMANDS:
                 disk store and a load generator ('tdc serve -h')
 
 OPTIONS:
-    --jobs N    Worker threads (default: available CPU parallelism)
-    --scale F   Run-length scale factor (default: TDC_SCALE env or 1.0)
+    --jobs N    Worker threads (default: available CPU parallelism); at
+                most half the CPUs leaves each worker a spare CPU for
+                its cells' trace generation
+    --scale F   Run-length scale factor, above 0 and at most 16
+                (default: TDC_SCALE env or 1.0)
     --seed S    Master seed (default: 2015)
     --out DIR   Artifact directory (default: results)
     --no-out    Skip writing JSON artifacts
@@ -145,16 +148,18 @@ fn parse(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Parses a `--scale` value: a finite run-length factor above zero.
-/// An infinite factor would saturate run lengths to `u64::MAX` (a run
-/// that never ends) and NaN would silently mean full scale, so both
-/// are usage errors. Every subcommand that takes `--scale` uses this.
+/// Parses a `--scale` value: a run-length factor above zero and at most
+/// [`MAX_SCALE`]. `RunConfig::scaled` would silently run any other value
+/// at full scale, so it is a usage error here. Every subcommand that
+/// takes `--scale` uses this.
 pub fn parse_scale(s: &str) -> Result<f64, String> {
     let f = s
         .parse::<f64>()
         .map_err(|_| format!("--scale needs a number, got '{s}'"))?;
-    if !f.is_finite() || f <= 0.0 {
-        return Err(format!("--scale must be a finite number above 0, got '{s}'"));
+    if !(f > 0.0 && f <= MAX_SCALE) {
+        return Err(format!(
+            "--scale must be above 0 and at most {MAX_SCALE}, got '{s}'"
+        ));
     }
     Ok(f)
 }
@@ -284,15 +289,7 @@ pub fn run(args: &[String]) -> i32 {
             }
         }
         let pools = harness.pool_batches();
-        match write_metrics(
-            dir,
-            &stats,
-            &harness.cache_counters(),
-            opts.jobs,
-            wall.as_secs_f64(),
-            &harness.timings(),
-            &pools,
-        ) {
+        match write_metrics(dir, &harness, wall.as_secs_f64()) {
             Ok(path) => eprintln!("tdc: wrote {}", path.display()),
             Err(e) => {
                 eprintln!("tdc: failed to write metrics under {}: {e}", dir.display());
@@ -407,10 +404,12 @@ mod tests {
 
     #[test]
     fn parse_scale_rejects_hostile_values() {
-        for bad in ["nan", "inf", "1e400", "-1", "0", "", "x"] {
+        for bad in ["nan", "inf", "1e400", "1e300", "17", "-1", "0", "", "x"] {
             assert!(parse_scale(bad).is_err(), "accepted {bad:?}");
         }
         assert_eq!(parse_scale("0.25"), Ok(0.25));
+        assert_eq!(parse_scale("16"), Ok(MAX_SCALE));
+        assert!(parse_scale("17").unwrap_err().contains("at most 16"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use tdc_core::experiment::Job;
+use tdc_core::experiment::{Job, TraceFeed};
 use tdc_core::{RunConfig, RunReport};
 
 use crate::cache::ResultCache;
@@ -30,6 +30,8 @@ pub struct Harness {
     /// The standard configuration figures derive their jobs from.
     pub cfg: RunConfig,
     threads: usize,
+    cpus: usize,
+    feed: TraceFeed,
     verbose: bool,
     cache: ResultCache,
     requested: AtomicUsize,
@@ -42,10 +44,19 @@ pub struct Harness {
 
 impl Harness {
     /// A harness over `cfg` running up to `threads` jobs concurrently.
+    ///
+    /// Its cells generate their traces on producer threads
+    /// ([`TraceFeed::Prefetch`]) only when the host has a spare CPU for
+    /// every worker, `2 × threads ≤ CPUs`; otherwise a producer would
+    /// compete with a worker for its CPU, and they run inline.
     pub fn new(cfg: RunConfig, threads: usize) -> Self {
+        let threads = threads.max(1);
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self {
             cfg,
-            threads: threads.max(1),
+            threads,
+            cpus,
+            feed: feed_for(threads, cpus),
             verbose: false,
             cache: ResultCache::new(),
             requested: AtomicUsize::new(0),
@@ -63,9 +74,28 @@ impl Harness {
         self
     }
 
+    /// Overrides the trace feed `new` chose from the host's CPU count: a
+    /// test seam, so the determinism pins cover both feeds on any host.
+    /// Reports are the same either way.
+    #[doc(hidden)]
+    pub fn with_trace_feed(mut self, feed: TraceFeed) -> Self {
+        self.feed = feed;
+        self
+    }
+
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// How the pool's cells are fed their traces.
+    pub fn trace_feed(&self) -> TraceFeed {
+        self.feed
+    }
+
+    /// The host's CPU count, as the trace-feed decision saw it.
+    pub fn host_cpus(&self) -> usize {
+        self.cpus
     }
 
     /// Execution counters so far.
@@ -155,7 +185,7 @@ impl Harness {
             let batch: Vec<Job> = missing.iter().map(|(_, j)| j.clone()).collect();
             let verbose = self.verbose;
             let (completed, telemetry) =
-                pool::run_batch_telemetry(&batch, self.threads, &|done, total, label, took| {
+                pool::run_batch_telemetry(&batch, self.threads, self.feed, &|done, total, label, took| {
                     if verbose {
                         eprintln!("[{done:>4}/{total}] {label:<40} {:>8.2}s", took.as_secs_f64());
                     }
@@ -188,6 +218,15 @@ impl Harness {
     /// Convenience: runs one job.
     pub fn run(&self, job: Job) -> Arc<RunReport> {
         self.run_all(std::slice::from_ref(&job)).pop().expect("one job in, one out")
+    }
+}
+
+/// Prefetch when every worker can have a second CPU for its producers.
+fn feed_for(threads: usize, cpus: usize) -> TraceFeed {
+    if 2 * threads <= cpus {
+        TraceFeed::Prefetch
+    } else {
+        TraceFeed::Inline
     }
 }
 
@@ -253,6 +292,37 @@ mod tests {
         for (a, b) in h1.run_all(&jobs).iter().zip(h4.run_all(&jobs)) {
             assert_eq!(a.ipc_total().to_bits(), b.ipc_total().to_bits());
             assert_eq!(a.l3.page_fills, b.l3.page_fills);
+        }
+    }
+
+    #[test]
+    fn prefetch_needs_a_spare_cpu_per_worker() {
+        assert_eq!(feed_for(1, 1), TraceFeed::Inline);
+        assert_eq!(feed_for(1, 2), TraceFeed::Prefetch);
+        assert_eq!(feed_for(2, 2), TraceFeed::Inline);
+        assert_eq!(feed_for(2, 3), TraceFeed::Inline);
+        assert_eq!(feed_for(2, 4), TraceFeed::Prefetch);
+        let h = Harness::new(tiny(), 1);
+        assert_eq!(h.trace_feed(), feed_for(1, h.host_cpus()));
+        let forced = h.with_trace_feed(TraceFeed::Prefetch);
+        assert_eq!(forced.trace_feed(), TraceFeed::Prefetch);
+    }
+
+    #[test]
+    fn prefetching_harness_reproduces_the_inline_one() {
+        let jobs = [
+            spec("mcf", OrgKind::Tagless, tiny()),
+            Job::new(Workload::Mix("MIX5".into()), OrgKind::SramTag, tiny()),
+            Job::new(
+                Workload::Parsec("fluidanimate".into()),
+                OrgKind::NoL3,
+                tiny(),
+            ),
+        ];
+        let inline = Harness::new(tiny(), 2).with_trace_feed(TraceFeed::Inline);
+        let prefetch = Harness::new(tiny(), 2).with_trace_feed(TraceFeed::Prefetch);
+        for (a, b) in inline.run_all(&jobs).iter().zip(prefetch.run_all(&jobs)) {
+            assert_eq!(**a, *b);
         }
     }
 

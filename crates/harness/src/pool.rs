@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 // Job timing feeds results/metrics.json, which is documented as the one
 // deliberately nondeterministic artifact (wall-clock telemetry).
 use std::time::{Duration, Instant}; // tdc-lint: allow(time-source)
-use tdc_core::experiment::Job;
+use tdc_core::experiment::{Job, TraceFeed};
 use tdc_core::RunReport;
 
 /// One finished cell: the job's result plus its wall-clock cost.
@@ -26,19 +26,20 @@ pub struct Completed {
 }
 
 /// Runs `jobs` on `threads` worker threads and returns one [`Completed`]
-/// per job, **in input order**. `progress` is invoked after each
-/// completion (from worker threads, serialized) with `(done, total,
-/// label, elapsed)`.
+/// per job, **in input order**. Each cell's traces are fed `feed`'s way.
+/// `progress` is invoked after each completion (from worker threads,
+/// serialized) with `(done, total, label, elapsed)`.
 pub fn run_batch(
     jobs: &[Job],
     threads: usize,
+    feed: TraceFeed,
     progress: &(dyn Fn(usize, usize, &str, Duration) + Sync),
 ) -> Vec<Completed> {
     let total = jobs.len();
     let done = AtomicUsize::new(0);
     tdc_util::pool::run_tasks(jobs, threads, |_, job| {
         let start = Instant::now(); // tdc-lint: allow(time-source)
-        let result = job.execute();
+        let result = job.execute_with(feed);
         let elapsed = start.elapsed();
         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
         progress(finished, total, &job.label(), elapsed);
@@ -56,13 +57,14 @@ pub fn run_batch(
 pub fn run_batch_telemetry(
     jobs: &[Job],
     threads: usize,
+    feed: TraceFeed,
     progress: &(dyn Fn(usize, usize, &str, Duration) + Sync),
 ) -> (Vec<Completed>, tdc_util::obs::PoolTelemetry) {
     let total = jobs.len();
     let done = AtomicUsize::new(0);
     tdc_util::pool::run_tasks_telemetry(jobs, threads, |_, job| {
         let start = Instant::now(); // tdc-lint: allow(time-source)
-        let result = job.execute();
+        let result = job.execute_with(feed);
         let elapsed = start.elapsed();
         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
         progress(finished, total, &job.label(), elapsed);
@@ -96,8 +98,8 @@ mod tests {
     fn batch_results_are_in_input_order_and_thread_invariant() {
         let jobs = tiny_jobs();
         let quiet = |_: usize, _: usize, _: &str, _: Duration| {};
-        let serial = run_batch(&jobs, 1, &quiet);
-        let parallel = run_batch(&jobs, 4, &quiet);
+        let serial = run_batch(&jobs, 1, TraceFeed::Inline, &quiet);
+        let parallel = run_batch(&jobs, 4, TraceFeed::Prefetch, &quiet);
         assert_eq!(serial.len(), jobs.len());
         for (s, p) in serial.iter().zip(&parallel) {
             let (s, p) = (s.result.as_ref().unwrap(), p.result.as_ref().unwrap());
@@ -118,7 +120,7 @@ mod tests {
             OrgKind::NoL3,
             cfg,
         )];
-        let out = run_batch(&jobs, 2, &|_, _, _, _| {});
+        let out = run_batch(&jobs, 2, TraceFeed::Inline, &|_, _, _, _| {});
         assert!(out[0].result.is_err());
     }
 
@@ -126,7 +128,7 @@ mod tests {
     fn progress_sees_every_completion() {
         let jobs = tiny_jobs();
         let count = AtomicUsize::new(0);
-        let _ = run_batch(&jobs, 3, &|done, total, label, _| {
+        let _ = run_batch(&jobs, 3, TraceFeed::Inline, &|done, total, label, _| {
             count.fetch_add(1, Ordering::Relaxed);
             assert!(done >= 1 && done <= total);
             assert!(!label.is_empty());

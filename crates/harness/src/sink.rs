@@ -300,7 +300,8 @@ pub fn write_results(
 }
 
 /// Writes `results/metrics.json`: per-invocation execution telemetry
-/// (wall/busy time, cache effectiveness, per-job timings).
+/// (wall/busy time, cache effectiveness, per-job timings, and how the
+/// cells were fed their traces on how many CPUs).
 ///
 /// This is the **one deliberately non-deterministic artifact** under
 /// `results/` — it records how long this machine took, not what the
@@ -308,16 +309,15 @@ pub fn write_results(
 /// determinism tests) must skip it.
 pub fn write_metrics(
     dir: &Path,
-    stats: &crate::harness::HarnessStats,
-    cache: &crate::cache::CacheCounters,
-    jobs: usize,
+    harness: &crate::harness::Harness,
     wall_seconds: f64,
-    timings: &[(String, f64)],
-    pools: &[(tdc_util::obs::PoolTelemetry, Vec<String>)],
 ) -> io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
+    let stats = harness.stats();
+    let cache = harness.cache_counters();
     let per_job = Json::Arr(
-        timings
+        harness
+            .timings()
             .iter()
             .map(|(label, secs)| {
                 Json::obj([
@@ -341,12 +341,17 @@ pub fn write_metrics(
                 ("inserts", Json::from(cache.inserts)),
             ]),
         ),
-        ("jobs", Json::from(jobs)),
+        ("jobs", Json::from(harness.threads())),
+        // Wall time measured without a spare CPU per worker ran its
+        // trace generation inline: `inline` flags it.
+        ("trace_feed", Json::from(harness.trace_feed().name())),
+        ("host_cpus", Json::from(harness.host_cpus())),
         ("per_job", per_job),
         (
             "pool",
             Json::Arr(
-                pools
+                harness
+                    .pool_batches()
                     .iter()
                     .map(|(telemetry, _)| telemetry.metrics_json())
                     .collect(),

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
 use std::process::Command;
-use tdc_core::experiment::Job;
+use tdc_core::experiment::{Job, TraceFeed};
 use tdc_core::RunConfig;
 use tdc_harness::figures::{plan, plan_for, shard_jobs};
 use tdc_harness::{figures, generate, Harness, ALL_IDS};
@@ -22,8 +22,8 @@ fn tiny() -> RunConfig {
 
 /// Generates the full figure set on one harness and returns every
 /// artifact that would be written, as strings.
-fn artifacts(threads: usize) -> Vec<(String, String)> {
-    let h = Harness::new(tiny(), threads);
+fn artifacts(threads: usize, feed: TraceFeed) -> Vec<(String, String)> {
+    let h = Harness::new(tiny(), threads).with_trace_feed(feed);
     let mut out = Vec::new();
     for id in ALL_IDS {
         let fig = generate(id, &h).expect("known id");
@@ -38,12 +38,30 @@ fn artifacts(threads: usize) -> Vec<(String, String)> {
 
 #[test]
 fn figure_set_is_identical_for_1_and_4_workers() {
-    let serial = artifacts(1);
-    let parallel = artifacts(4);
+    let serial = artifacts(1, TraceFeed::Inline);
+    let parallel = artifacts(4, TraceFeed::Inline);
     assert_eq!(serial.len(), parallel.len());
     for ((name_s, body_s), (name_p, body_p)) in serial.iter().zip(&parallel) {
         assert_eq!(name_s, name_p);
         assert_eq!(body_s, body_p, "artifact {name_s} differs between --jobs 1 and --jobs 4");
+    }
+}
+
+/// The same pin with every cell's traces generated on producer threads,
+/// whatever the host's CPU count would have chosen.
+#[test]
+fn figure_set_is_identical_with_prefetch_for_1_4_and_16_workers() {
+    let inline = artifacts(1, TraceFeed::Inline);
+    for threads in [1, 4, 16] {
+        let prefetched = artifacts(threads, TraceFeed::Prefetch);
+        assert_eq!(inline.len(), prefetched.len());
+        for ((name_i, body_i), (name_p, body_p)) in inline.iter().zip(&prefetched) {
+            assert_eq!(name_i, name_p);
+            assert_eq!(
+                body_i, body_p,
+                "artifact {name_i} differs between inline --jobs 1 and prefetch --jobs {threads}"
+            );
+        }
     }
 }
 

@@ -201,14 +201,14 @@ fn hostile_scales_are_usage_errors_on_every_subcommand() {
         &["bench", "run"],
     ];
     for sub in subcommands {
-        for bad in ["inf", "nan"] {
+        for bad in ["inf", "nan", "1e300"] {
             let mut args = sub.to_vec();
             args.extend(["--scale", bad]);
             let out = tdc(&args, &base);
             assert_eq!(out.status.code(), Some(2), "tdc {} --scale {bad}", sub.join(" "));
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert!(
-                stderr.contains("--scale must be a finite number above 0"),
+                stderr.contains("--scale must be above 0 and at most 16"),
                 "tdc {} --scale {bad}: {stderr}",
                 sub.join(" ")
             );

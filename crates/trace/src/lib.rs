@@ -18,6 +18,8 @@
 //!   memory-bound SPEC programs, the 8 multi-programmed mixes of
 //!   Table 5, and the 4 PARSEC programs (§5.3).
 //! * [`parsec`] — multi-threaded trace construction with shared pages.
+//! * [`PrefetchSource`] / [`TraceFeed`] — a generator run on a producer
+//!   thread of its own, a few chunks ahead of the simulation.
 //!
 //! # Examples
 //!
@@ -31,11 +33,13 @@
 //! ```
 
 pub mod parsec;
+pub mod prefetch;
 pub mod profiles;
 pub mod record;
 pub mod synth;
 
 pub use parsec::ParsecTraces;
+pub use prefetch::{PrefetchSource, TraceFeed};
 pub use profiles::{WorkloadProfile, MIXES, PARSEC_NAMES, SPEC_NAMES};
 pub use record::{MemRef, ReplaySource, TraceSource};
 pub use synth::{page_access_counts, SyntheticWorkload};

@@ -96,6 +96,8 @@ impl Bernoulli {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Geometric {
     p: f64,
+    /// `ln(1 - p)`, the inversion's divisor.
+    ln_q: f64,
 }
 
 impl Geometric {
@@ -108,16 +110,21 @@ impl Geometric {
         if !(p > 0.0 && p <= 1.0) {
             return Err(ParamError::new("geometric p outside (0, 1]"));
         }
-        Ok(Self { p })
+        Ok(Self {
+            p,
+            ln_q: (1.0 - p).ln(),
+        })
     }
 
-    /// Draws a sample via inversion.
+    /// Draws a sample via inversion. Divides by the cached `ln(1 - p)`
+    /// rather than multiplying by its reciprocal, which would round
+    /// differently and shift the trace streams.
     pub fn sample(&self, rng: &mut impl Rng) -> u64 {
         if self.p >= 1.0 {
             return 0;
         }
         let u = rng.next_f64().max(f64::MIN_POSITIVE);
-        (u.ln() / (1.0 - self.p).ln()).floor() as u64
+        (u.ln() / self.ln_q).floor() as u64
     }
 
     /// Expected value `(1 - p) / p`.
@@ -365,6 +372,27 @@ mod tests {
             "empirical {mean} vs analytic {}",
             g.mean()
         );
+    }
+
+    #[test]
+    fn geometric_known_answers() {
+        // The first draws for seed 2015 at mean 19: the per-reference gap
+        // and repeat draws of every trace. A faster sampler must
+        // reproduce them exactly.
+        let g = Geometric::new(0.05).unwrap();
+        let mut rng = Pcg32::seed_from_u64(2015);
+        let draws: Vec<u64> = (0..16).map(|_| g.sample(&mut rng)).collect();
+        let pinned = [6, 2, 0, 2, 38, 1, 0, 0, 49, 0, 23, 8, 14, 39, 2, 62];
+        assert_eq!(draws, pinned);
+    }
+
+    #[test]
+    fn zipf_known_answers() {
+        // The first draws for seed 2015: the hot-page picks of a trace.
+        let z = Zipf::new(100_000, 0.9).unwrap();
+        let mut rng = Pcg32::seed_from_u64(2015);
+        let draws: Vec<u64> = (0..8).map(|_| z.sample(&mut rng)).collect();
+        assert_eq!(draws, [10603, 36469, 92426, 47310, 8, 68007, 84383, 77309]);
     }
 
     #[test]

@@ -60,6 +60,25 @@ done
 grep -q '"steal_attempts"' "$out/steal/metrics.json" \
     || { echo "--jobs 16 run recorded no scheduler telemetry" >&2; exit 1; }
 
+echo "== smoke: tdc all --jobs 1 (trace prefetch path, byte-identical to --jobs 2) =="
+# One worker on a host with 2+ CPUs has a spare CPU, so its cells
+# generate their traces on producer threads (DESIGN.md §7.1).
+# metrics.json records that decision next to the CPU count it saw.
+./target/release/tdc all --jobs 1 --scale 0.05 --quiet --out "$out/serial"
+for f in $(cd "$out/serial" && find . -type f ! -name metrics.json ! -name pool.trace.json); do
+    cmp -s "$out/serial/$f" "$out/$f" \
+        || { echo "--jobs 1 run diverged from --jobs 2 on $f" >&2; exit 1; }
+done
+[ "$(ls "$out/serial/runs" | wc -l)" = "$(ls "$out/runs" | wc -l)" ] \
+    || { echo "--jobs 1 run wrote a different set of runs" >&2; exit 1; }
+cpus="$(sed -n 's/^ *"host_cpus": \([0-9]*\).*/\1/p' "$out/serial/metrics.json")"
+feed="$(sed -n 's/^ *"trace_feed": "\([a-z]*\)".*/\1/p' "$out/serial/metrics.json")"
+expected=inline
+[ "${cpus:-0}" -ge 2 ] && expected=prefetch
+[ "$feed" = "$expected" ] \
+    || { echo "--jobs 1 on ${cpus:-?} CPUs fed traces '$feed', expected $expected" >&2; exit 1; }
+echo "ok: --jobs 1 on $cpus CPUs, trace_feed=$feed"
+
 echo "== smoke: tdc trace (probed run, Perfetto export) =="
 ./target/release/tdc trace mcf/ctlb --scale 0.02 --out "$out"
 test -s "$out/runs/mcf_ctlb.timeseries.json" || { echo "trace wrote no timeseries" >&2; exit 1; }
