@@ -523,9 +523,8 @@ impl<P: Probe> TaglessCache<P> {
     /// The cTLB miss handler (Fig. 4). Returns `(frame, nc, done)`.
     ///
     /// This is the paper's designed slow path — a page walk plus a page
-    /// fill dominate it, so the bookkeeping maps it updates are noise
-    /// next to the DRAM traffic and exempt from the hot-path budget.
-    // tdc-lint: cold
+    /// fill dominate it. Once every page has been touched it allocates
+    /// nothing (`crates/core/tests/alloc_free.rs`).
     fn miss_handler(&mut self, now: Cycle, core: usize, vpn: Vpn) -> (Frame, bool, Cycle) {
         let asid = self.core_asid[core];
         let l2_lat = self.mmus[core].params().l2_latency;

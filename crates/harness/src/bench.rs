@@ -20,10 +20,8 @@
 //!   was taken on a dirty tree (override: `--allow-dirty`).
 //! * `tdc bench history` renders the trajectory from the JSONL.
 //!
-//! The record schema is pinned three ways: [`RECORD_FIELDS`] /
-//! [`RECORD_VERSION`] here, prose in DESIGN.md §11, and the
-//! `bench-schema` lint rule that fails `tdc lint` whenever the two
-//! drift in either direction.
+//! The record schema is [`RECORD_FIELDS`] / [`RECORD_VERSION`] here
+//! (DESIGN.md §11 points at them), pinned by this module's tests.
 //!
 //! Records are deterministic apart from the timings themselves: no
 //! wall-clock timestamps, no environment beyond the host fingerprint.
@@ -41,12 +39,10 @@ use crate::cli::parse_scale;
 use crate::kernels::{measure, micro_kernels, Timing};
 use crate::SEED;
 
-/// Version stamped into every record (bump on schema change, and keep
-/// DESIGN.md §11 in sync — the `bench-schema` lint rule checks).
+/// Version stamped into every record (bump on schema change).
 pub const RECORD_VERSION: u64 = 1;
 
-/// Top-level record fields, in serialization order. The `bench-schema`
-/// lint rule keeps this list equal to the DESIGN.md §11 prose.
+/// Top-level record fields, in serialization order.
 pub const RECORD_FIELDS: [&str; 7] = [
     "format_version",
     "git_sha",

@@ -339,13 +339,11 @@ fn k_tagless_cold_fill() -> Box<dyn FnMut() -> u64> {
 }
 
 // Factory bodies run once per measurement to build state; only the
-// boxed closure is timed, so it alone carries the hot root.
-// tdc-lint: cold
+// boxed closure is timed.
 fn set_assoc(repl: Replacement) -> Box<dyn FnMut() -> u64> {
     let geom = CacheGeometry::new(2 << 20, 64, 16).expect("valid geometry");
     let mut cache = SetAssocCache::new(geom, repl);
     let mut rng = Pcg32::seed_from_u64(3);
-    // tdc-lint: hot
     Box::new(move || {
         let r = cache.access(rng.gen_range(16 << 20), false);
         u64::from(r.hit)
@@ -361,11 +359,9 @@ fn k_set_assoc_fifo() -> Box<dyn FnMut() -> u64> {
 }
 
 // Setup-only factory, as with `set_assoc` above.
-// tdc-lint: cold
 fn trace_kernel(name: &str) -> Box<dyn FnMut() -> u64> {
     let profile = profiles::spec(name).expect("known benchmark name").clone();
     let mut w = SyntheticWorkload::new(profile, 7, 0);
-    // tdc-lint: hot
     Box::new(move || w.next_ref().vaddr.0)
 }
 
@@ -440,15 +436,14 @@ fn k_serve_warm_hit() -> Box<dyn FnMut() -> u64> {
     }
     // This kernel times the service envelope end-to-end — JSON parse,
     // routing, response serialization — where allocation is the cost
-    // being measured, not a hazard. hot-path-alloc stays focused on the
-    // simulator kernels.
-    // tdc-lint: cold
+    // being measured, not a hazard: `tests/kernel_alloc.rs` lists it as
+    // allocating by design.
     Box::new(move || server.handle(&req).body.len() as u64)
 }
 
-/// One full two-pass `tdc lint` of this workspace — file scan, item
-/// parse, call-graph build, every rule — so the analyzer's own cost is
-/// regression-gated like any simulator kernel (DESIGN.md §14). Runs
+/// One full `tdc lint` of this workspace — file scan, every rule,
+/// pragma and ratchet filtering — so the analyzer's own cost is
+/// regression-gated like any simulator kernel (DESIGN.md §9). Runs
 /// single-threaded: the subject is the analysis, not the pool.
 fn k_lint_workspace_scan() -> Box<dyn FnMut() -> u64> {
     let root = std::env::current_dir()
@@ -463,12 +458,11 @@ fn k_lint_workspace_scan() -> Box<dyn FnMut() -> u64> {
     // otherwise the first run pays cold-file I/O and the cross-run
     // drift trips the regression gate on noise, not analysis cost.
     let _ = tdc_lint::engine::run(&cfg);
-    // The lint engine allocates freely by design; it analyzes hot
-    // paths, it isn't one.
-    // tdc-lint: cold
+    // The lint engine allocates freely by design; it is not a
+    // simulator path.
     Box::new(move || {
         let report = tdc_lint::engine::run(&cfg).expect("workspace sources readable");
-        report.graph.functions as u64
+        report.files_scanned as u64
     })
 }
 
@@ -489,7 +483,6 @@ fn k_pool_steal_imbalanced() -> Box<dyn FnMut() -> u64> {
     // The batch setup (deques, result slots) and per-task spin are the
     // measured scheduler cost; this closure is the pool's own gate, not
     // a simulator hot path.
-    // tdc-lint: cold
     Box::new(move || {
         let parts = tdc_util::pool::run_tasks(&costs, 4, |i, &spin| {
             let mut acc = i as u64 + 1;

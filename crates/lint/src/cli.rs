@@ -225,14 +225,14 @@ mod tests {
 
     #[test]
     fn parse_only_accumulates_and_validates() {
-        let args: Vec<String> = ["--only", "hot-path-alloc,lock-order", "--only", "panic-reachability"]
+        let args: Vec<String> = ["--only", "time-source,panic-in-lib", "--only", "cast-truncation"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         let o = parse(&args).expect("valid rules");
         let only = o.only.expect("set");
         assert_eq!(only.len(), 3);
-        assert!(only.contains("lock-order"));
+        assert!(only.contains("panic-in-lib"));
 
         let bad = parse(&["--only".to_string(), "no-such-rule".to_string()]);
         assert!(bad.unwrap_err().contains("unknown rule"));
@@ -240,14 +240,14 @@ mod tests {
 
     #[test]
     fn parse_explain_validates_rule() {
-        let o = parse(&["--explain".to_string(), "graph-schema".to_string()]).expect("known");
-        assert_eq!(o.explain.as_deref(), Some("graph-schema"));
+        let o = parse(&["--explain".to_string(), "design-constants".to_string()]).expect("known");
+        assert_eq!(o.explain.as_deref(), Some("design-constants"));
         assert!(parse(&["--explain".to_string(), "bogus".to_string()]).is_err());
     }
 
     #[test]
     fn parse_rejects_partial_ratchet_update() {
-        let args: Vec<String> = ["--update-ratchet", "--only", "lock-order"]
+        let args: Vec<String> = ["--update-ratchet", "--only", "time-source"]
             .iter()
             .map(|s| s.to_string())
             .collect();

@@ -20,12 +20,9 @@
 //!    the file. Entries whose count exceeds reality are reported as
 //!    stale so the ratchet never loosens silently.
 
-use crate::graph::{self, GraphSummary, GRAPH_VERSION};
 use crate::lexer::{scan, ScannedFile};
-use crate::parser::{parse, ParsedFile};
 use crate::rules::{
-    bench_schema, design_constants, figure_baselines, graph_schema, line_rules, obs_schema,
-    pool_schema, probe_coverage, wire_schema, RawFinding, RULES,
+    design_constants, figure_baselines, line_rules, probe_coverage, RawFinding, RULES,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -75,8 +72,6 @@ pub struct StaleEntry {
 #[derive(Debug)]
 pub struct LintReport {
     pub files_scanned: usize,
-    /// Call-graph summary from the second (resolve) pass.
-    pub graph: GraphSummary,
     /// All findings, sorted by `(file, line, rule)`.
     pub findings: Vec<Finding>,
     pub stale: Vec<StaleEntry>,
@@ -164,7 +159,7 @@ impl LintReport {
         );
         Json::obj([
             ("tool", Json::from("tdc-lint")),
-            ("format_version", Json::U64(1)),
+            ("format_version", Json::U64(2)),
             ("files_scanned", Json::U64(self.files_scanned as u64)),
             ("rules", rules),
             (
@@ -176,21 +171,6 @@ impl LintReport {
                         Json::U64(self.count(Status::Grandfathered) as u64),
                     ),
                     ("allowed", Json::U64(self.count(Status::Allowed) as u64)),
-                ]),
-            ),
-            (
-                "graph",
-                Json::obj([
-                    ("format_version", Json::U64(GRAPH_VERSION)),
-                    ("functions", Json::U64(self.graph.functions as u64)),
-                    ("edges", Json::U64(self.graph.edges as u64)),
-                    (
-                        "roots",
-                        Json::obj([
-                            ("hot", Json::U64(self.graph.hot_roots as u64)),
-                            ("handlers", Json::U64(self.graph.handler_roots as u64)),
-                        ]),
-                    ),
                 ]),
             ),
             ("findings", findings),
@@ -219,11 +199,8 @@ impl LintReport {
         }
         let _ = writeln!(
             out,
-            "tdc-lint: {} files scanned, {} fns / {} edges in call graph, \
-             {} new finding(s), {} grandfathered, {} allowed",
+            "tdc-lint: {} files scanned, {} new finding(s), {} grandfathered, {} allowed",
             self.files_scanned,
-            self.graph.functions,
-            self.graph.edges,
             self.new_count(),
             self.count(Status::Grandfathered),
             self.count(Status::Allowed),
@@ -348,26 +325,22 @@ pub fn run(cfg: &Config) -> io::Result<LintReport> {
     let paths = collect_sources(&cfg.root)?;
     let files_scanned = paths.len();
 
-    // Pass 1: scan, parse, and run the per-line rules in parallel
-    // through the shared worker pool; results come back in input
-    // (sorted-path) order.
-    type Scanned = Result<(String, ScannedFile, ParsedFile, Vec<RawFinding>), String>;
+    // Scan and run the per-line rules in parallel through the shared
+    // worker pool; results come back in input (sorted-path) order.
+    type Scanned = Result<(String, ScannedFile, Vec<RawFinding>), String>;
     let scanned: Vec<Scanned> = tdc_util::pool::run_tasks(&paths, cfg.jobs, |_, rel| {
         let text =
             fs::read_to_string(cfg.root.join(rel)).map_err(|e| format!("{rel}: {e}"))?;
         let file = scan(&text);
-        let parsed = parse(&file);
         let found = line_rules(rel, &file);
-        Ok((rel.clone(), file, parsed, found))
+        Ok((rel.clone(), file, found))
     });
 
     let mut files: BTreeMap<String, ScannedFile> = BTreeMap::new();
-    let mut parsed_files: BTreeMap<String, ParsedFile> = BTreeMap::new();
     let mut raw: Vec<RawFinding> = Vec::new();
     for item in scanned {
-        let (rel, file, parsed, found) = item.map_err(io::Error::other)?;
-        files.insert(rel.clone(), file);
-        parsed_files.insert(rel, parsed);
+        let (rel, file, found) = item.map_err(io::Error::other)?;
+        files.insert(rel, file);
         raw.extend(found);
     }
 
@@ -377,21 +350,7 @@ pub fn run(cfg: &Config) -> io::Result<LintReport> {
     if design_md.is_file() {
         let design_text = fs::read_to_string(&design_md)?;
         raw.extend(design_constants(&files, &design_text));
-        raw.extend(bench_schema(&files, &design_text));
-        raw.extend(wire_schema(&files, &design_text));
-        raw.extend(obs_schema(&files, &design_text));
-        raw.extend(graph_schema(&files, &design_text));
-        raw.extend(pool_schema(&files, &design_text));
     }
-
-    // Pass 2: resolve the workspace call graph and run the graph rule
-    // families on it.
-    let g = graph::build(&parsed_files);
-    raw.extend(graph::hot_path_alloc(&parsed_files, &g));
-    raw.extend(graph::panic_reachability(&g));
-    raw.extend(graph::lock_order(&g));
-    let graph_summary = graph::summary(&parsed_files, &g);
-    drop(g);
 
     if let Some(only) = &cfg.only {
         raw.retain(|r| only.contains(r.rule));
@@ -444,7 +403,6 @@ pub fn run(cfg: &Config) -> io::Result<LintReport> {
 
     Ok(LintReport {
         files_scanned,
-        graph: graph_summary,
         findings,
         stale,
     })

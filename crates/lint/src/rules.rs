@@ -23,7 +23,7 @@ pub struct RawFinding {
 }
 
 /// `(id, summary)` for every rule, in report order.
-pub const RULES: [(&str, &str); 15] = [
+pub const RULES: [(&str, &str); 7] = [
     (
         "hash-collections",
         "HashMap/HashSet in library code: iteration order is nondeterministic and can leak into artifacts",
@@ -51,38 +51,6 @@ pub const RULES: [(&str, &str); 15] = [
     (
         "design-constants",
         "every DRAM timing constant referenced in DESIGN.md (tXXX) must exist in tdc-dram",
-    ),
-    (
-        "bench-schema",
-        "the bench-history.jsonl record schema documented in DESIGN.md must match harness::bench::RECORD_FIELDS/RECORD_VERSION",
-    ),
-    (
-        "wire-schema",
-        "the serve-envelope wire format documented in DESIGN.md must match serve::wire::WIRE_FIELDS/WIRE_VERSION",
-    ),
-    (
-        "obs-schema",
-        "the events.jsonl / histogram-summary schemas documented in DESIGN.md must match util::obs::EVENT_FIELDS/EVENT_VERSION and HIST_FIELDS/HIST_VERSION",
-    ),
-    (
-        "hot-path-alloc",
-        "no allocation (push/insert/collect/format!/clone/Box::new/...) reachable from a bench-registry kernel or `tdc-lint: hot` fn; `tdc-lint: cold` cuts traversal",
-    ),
-    (
-        "lock-order",
-        "Mutex acquisition order across crates/serve and tdc_util::pool must be acyclic, or two requests can deadlock",
-    ),
-    (
-        "panic-reachability",
-        "no unwrap/expect/panic!/unguarded-indexing reachable from Server request handlers: untrusted input must map to wire errors",
-    ),
-    (
-        "graph-schema",
-        "the lint-graph summary documented in DESIGN.md must match lint::graph::GRAPH_FIELDS/GRAPH_VERSION",
-    ),
-    (
-        "pool-schema",
-        "the pool-telemetry schema documented in DESIGN.md must match util::obs::POOL_FIELDS/POOL_VERSION",
     ),
 ];
 
@@ -124,62 +92,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "design-constants" => {
             "Every DRAM timing token (tRCD, tFAW, ...) referenced in DESIGN.md must \
              exist as a constant in tdc-dram, keeping prose and model in sync."
-        }
-        "bench-schema" => {
-            "The bench-history.jsonl record schema (DESIGN.md §11 versus \
-             harness::bench::RECORD_FIELDS/RECORD_VERSION) is checked both directions, \
-             including format_version drift."
-        }
-        "wire-schema" => {
-            "The serve-envelope wire format (DESIGN.md §12 versus \
-             serve::wire::WIRE_FIELDS/WIRE_VERSION) is checked both directions, \
-             including format_version drift."
-        }
-        "obs-schema" => {
-            "The events.jsonl structured-log line and the histogram-summary object \
-             (DESIGN.md §13 versus util::obs EVENT_*/HIST_* constants) are checked \
-             both directions, including format_version drift."
-        }
-        "hot-path-alloc" => {
-            "The paper's access path is supposed to be a single cTLB step; an \
-             allocation inside a measured kernel is either a perf bug or an unmeasured \
-             design decision. Roots are every bench-registry kernel (the boxed closure \
-             body, so factory setup is exempt) plus `// tdc-lint: hot` fns. The rule \
-             flags growth calls (push/insert/extend/collect/...), owned copies \
-             (to_string/to_vec/clone), allocating constructors (Box::new/Arc::new/\
-             Vec::with_capacity/...) and format!/vec! reachable in the call graph. \
-             Mark intentionally-allocating paths `// tdc-lint: cold` (cuts traversal) \
-             or suppress a single site with `// tdc-lint: allow(hot-path-alloc)`."
-        }
-        "lock-order" => {
-            "Builds the Mutex acquisition graph across crates/serve and \
-             tdc_util::pool: an edge A -> B means some code path takes B while \
-             holding A, either directly or by calling into code that transitively \
-             acquires B. Any cycle means two threads can deadlock. Lock identity is \
-             the receiver field name (`self.flights.lock()` -> `flights`); guards are \
-             held until their binding's block closes, temporaries release at the end \
-             of the statement."
-        }
-        "panic-reachability" => {
-            "Walks the call graph from every `impl Server` method in crates/serve: \
-             unwrap/expect/panic!-family macros and unguarded indexing reachable on a \
-             request path can abort the daemon on untrusted input. Parse failures must \
-             become 400-level wire errors instead. Traversal stays inside crates/serve \
-             (the engine seam is the simulator's problem, covered by panic-in-lib); \
-             remaining sites are ratcheted in lint.ratchet."
-        }
-        "graph-schema" => {
-            "The `graph` section of results/lint.json (function/edge/root counts) is \
-             documented at the lint-graph anchor in DESIGN.md §14 and declared in \
-             lint::graph::GRAPH_FIELDS/GRAPH_VERSION; both directions and \
-             format_version are checked, like every other schema-sync rule."
-        }
-        "pool-schema" => {
-            "The scheduler telemetry each pool batch writes to metrics.json \
-             (DESIGN.md §16 versus util::obs::POOL_FIELDS/POOL_VERSION, anchored \
-             at `pool-telemetry`) is checked both directions, including \
-             format_version drift — steal counters the docs promise must exist \
-             in code, and vice versa."
         }
         _ => return None,
     })
@@ -527,286 +439,6 @@ pub fn design_constants(
         .collect()
 }
 
-/// The `tdc bench` record schema has two sources of truth — the
-/// `RECORD_FIELDS`/`RECORD_VERSION` constants in
-/// `crates/harness/src/bench.rs` and the DESIGN.md §11 prose — and
-/// they must agree in both directions: every documented field exists
-/// in code, every code field is documented, and the documented
-/// `format_version` matches the constant. Anchored by the first
-/// DESIGN.md line containing `bench-history.jsonl`.
-pub fn bench_schema(
-    files: &BTreeMap<String, ScannedFile>,
-    design_md: &str,
-) -> Vec<RawFinding> {
-    schema_sync(&BENCH_SPEC, files, design_md)
-}
-
-/// The `tdc serve` response envelope is the second two-sources-of-truth
-/// schema — `WIRE_FIELDS`/`WIRE_VERSION` in `crates/serve/src/wire.rs`
-/// versus the DESIGN.md §12 prose — anchored by the first DESIGN.md
-/// line containing `serve-envelope`.
-pub fn wire_schema(files: &BTreeMap<String, ScannedFile>, design_md: &str) -> Vec<RawFinding> {
-    schema_sync(&WIRE_SPEC, files, design_md)
-}
-
-/// The observability layer carries two more two-sources-of-truth
-/// schemas — the `events.jsonl` structured-log line
-/// (`EVENT_FIELDS`/`EVENT_VERSION`) and the histogram summary object
-/// (`HIST_FIELDS`/`HIST_VERSION`), both in `crates/util/src/obs.rs`
-/// versus the DESIGN.md §13 prose — anchored by the first DESIGN.md
-/// lines containing `events.jsonl` and `histogram-summary`.
-pub fn obs_schema(files: &BTreeMap<String, ScannedFile>, design_md: &str) -> Vec<RawFinding> {
-    let mut out = schema_sync(&OBS_EVENT_SPEC, files, design_md);
-    out.extend(schema_sync(&OBS_HIST_SPEC, files, design_md));
-    out
-}
-
-/// The lint report's own `graph` section closes the loop: the summary
-/// counts `tdc lint` writes to `results/lint.json` are themselves a
-/// two-sources-of-truth schema — `GRAPH_FIELDS`/`GRAPH_VERSION` in
-/// `crates/lint/src/graph.rs` versus the DESIGN.md §14 prose —
-/// anchored by the first DESIGN.md line containing `lint-graph`.
-pub fn graph_schema(files: &BTreeMap<String, ScannedFile>, design_md: &str) -> Vec<RawFinding> {
-    schema_sync(&GRAPH_SPEC, files, design_md)
-}
-
-/// The work-stealing pool's telemetry batch (the `pool` entries in
-/// `results/metrics.json`) is the fifth two-sources-of-truth schema —
-/// `POOL_FIELDS`/`POOL_VERSION` in `crates/util/src/obs.rs` versus the
-/// DESIGN.md §16 prose — anchored by the first DESIGN.md line
-/// containing `pool-telemetry`.
-pub fn pool_schema(files: &BTreeMap<String, ScannedFile>, design_md: &str) -> Vec<RawFinding> {
-    schema_sync(&POOL_SPEC, files, design_md)
-}
-
-/// One code-constants-versus-DESIGN.md schema pairing checked by
-/// [`schema_sync`].
-struct SchemaSpec {
-    /// Rule id reported on findings.
-    rule: &'static str,
-    /// Workspace-relative source file declaring the constants.
-    src: &'static str,
-    /// Name of the `[&str; N]` fields constant.
-    fields_const: &'static str,
-    /// Name of the `u64` version constant.
-    version_const: &'static str,
-    /// Literal anchoring the DESIGN.md block (and excluded from its
-    /// backticked field names).
-    anchor: &'static str,
-    /// Module path used in the "never documents it" message.
-    code_home: &'static str,
-    /// Short subject for the version-drift message.
-    subject: &'static str,
-    /// Noun for the documented-but-missing-in-code message.
-    field_noun: &'static str,
-}
-
-const BENCH_SPEC: SchemaSpec = SchemaSpec {
-    rule: "bench-schema",
-    src: "crates/harness/src/bench.rs",
-    fields_const: "RECORD_FIELDS",
-    version_const: "RECORD_VERSION",
-    anchor: "bench-history.jsonl",
-    code_home: "harness::bench",
-    subject: "bench-record",
-    field_noun: "bench record field",
-};
-
-const WIRE_SPEC: SchemaSpec = SchemaSpec {
-    rule: "wire-schema",
-    src: "crates/serve/src/wire.rs",
-    fields_const: "WIRE_FIELDS",
-    version_const: "WIRE_VERSION",
-    anchor: "serve-envelope",
-    code_home: "serve::wire",
-    subject: "serve-envelope",
-    field_noun: "envelope field",
-};
-
-const OBS_EVENT_SPEC: SchemaSpec = SchemaSpec {
-    rule: "obs-schema",
-    src: "crates/util/src/obs.rs",
-    fields_const: "EVENT_FIELDS",
-    version_const: "EVENT_VERSION",
-    anchor: "events.jsonl",
-    code_home: "util::obs",
-    subject: "event-log",
-    field_noun: "event field",
-};
-
-const OBS_HIST_SPEC: SchemaSpec = SchemaSpec {
-    rule: "obs-schema",
-    src: "crates/util/src/obs.rs",
-    fields_const: "HIST_FIELDS",
-    version_const: "HIST_VERSION",
-    anchor: "histogram-summary",
-    code_home: "util::obs",
-    subject: "histogram-summary",
-    field_noun: "histogram summary field",
-};
-
-const GRAPH_SPEC: SchemaSpec = SchemaSpec {
-    rule: "graph-schema",
-    src: "crates/lint/src/graph.rs",
-    fields_const: "GRAPH_FIELDS",
-    version_const: "GRAPH_VERSION",
-    anchor: "lint-graph",
-    code_home: "lint::graph",
-    subject: "lint-graph",
-    field_noun: "graph summary field",
-};
-
-const POOL_SPEC: SchemaSpec = SchemaSpec {
-    rule: "pool-schema",
-    src: "crates/util/src/obs.rs",
-    fields_const: "POOL_FIELDS",
-    version_const: "POOL_VERSION",
-    anchor: "pool-telemetry",
-    code_home: "util::obs",
-    subject: "pool-telemetry",
-    field_noun: "pool telemetry field",
-};
-
-/// The shared both-directions check: every documented field exists in
-/// the code constant, every code field is documented, and the
-/// documented `format_version` matches the version constant. The
-/// documented block is anchored by the first DESIGN.md line containing
-/// `spec.anchor`; that line carries `format_version N`, and the
-/// backtick-quoted names on it and the following lines (up to the
-/// first blank line) are the documented fields.
-fn schema_sync(
-    spec: &SchemaSpec,
-    files: &BTreeMap<String, ScannedFile>,
-    design_md: &str,
-) -> Vec<RawFinding> {
-    let Some(src) = files.get(spec.src) else {
-        return Vec::new();
-    };
-    let Some((code_fields, code_version)) = schema_constants(src, spec) else {
-        return Vec::new();
-    };
-
-    let anchor = design_md.lines().position(|l| l.contains(spec.anchor));
-    let Some(anchor) = anchor else {
-        return vec![RawFinding {
-            file: "DESIGN.md".to_string(),
-            line: 1,
-            rule: spec.rule,
-            message: format!(
-                "{} defines the {} schema ({} fields) but DESIGN.md never documents it",
-                spec.code_home,
-                spec.anchor,
-                code_fields.len()
-            ),
-        }];
-    };
-    let hit = |message: String| RawFinding {
-        file: "DESIGN.md".to_string(),
-        line: anchor + 1,
-        rule: spec.rule,
-        message,
-    };
-    let mut out = Vec::new();
-
-    let lines: Vec<&str> = design_md.lines().collect();
-    let anchor_line = lines[anchor];
-    match trailing_number(anchor_line, "format_version") {
-        Some(v) if v == code_version => {}
-        Some(v) => out.push(hit(format!(
-            "DESIGN.md documents {} format_version {v} but {} is {code_version}",
-            spec.subject, spec.version_const
-        ))),
-        None => out.push(hit(format!(
-            "the {} line must state `format_version N`",
-            spec.anchor
-        ))),
-    }
-
-    let mut doc_fields: Vec<String> = Vec::new();
-    for line in lines.iter().skip(anchor).take_while(|l| !l.trim().is_empty()) {
-        doc_fields.extend(
-            backticked(line)
-                .into_iter()
-                .filter(|t| *t != spec.anchor)
-                .map(str::to_string),
-        );
-    }
-    for field in &doc_fields {
-        if !code_fields.contains(field) {
-            out.push(hit(format!(
-                "DESIGN.md documents {} `{field}` but {} does not include it",
-                spec.field_noun, spec.fields_const
-            )));
-        }
-    }
-    for field in &code_fields {
-        if !doc_fields.contains(field) {
-            out.push(hit(format!(
-                "{} includes `{field}` but DESIGN.md's {} schema does not document it",
-                spec.fields_const, spec.anchor
-            )));
-        }
-    }
-    out
-}
-
-/// Extracts `(fields-constant entries, version constant)` from the
-/// scanned source module. `None` when either constant is absent.
-fn schema_constants(src: &ScannedFile, spec: &SchemaSpec) -> Option<(Vec<String>, u64)> {
-    let fields_decl = format!("const {}", spec.fields_const);
-    let version_decl = format!("const {}", spec.version_const);
-    let mut fields: Option<Vec<String>> = None;
-    let mut version: Option<u64> = None;
-    let mut in_fields = false;
-    for (idx, line) in src.lines.iter().enumerate() {
-        if src.is_test_code(idx) {
-            break;
-        }
-        if version.is_none() && line.code.contains(&version_decl) && line.code.contains('=') {
-            version = trailing_number(&line.code, "=");
-        }
-        // Anchor on the declaration, not later mentions of the name.
-        if fields.is_none() && line.code.contains(&fields_decl) {
-            in_fields = true;
-            fields = Some(Vec::new());
-        }
-        if in_fields {
-            // Strings are blanked in `code`; read names from `raw`.
-            if let Some(f) = fields.as_mut() {
-                f.extend(quoted_strings(&line.raw).into_iter().map(str::to_string));
-            }
-            if line.code.contains("];") {
-                in_fields = false;
-            }
-        }
-    }
-    Some((fields?, version?))
-}
-
-/// The first unsigned integer after the last occurrence of `after` in
-/// `line`.
-fn trailing_number(line: &str, after: &str) -> Option<u64> {
-    let pos = line.rfind(after)?;
-    let rest = &line[pos + after.len()..];
-    let digits: String = rest
-        .chars()
-        .skip_while(|c| !c.is_ascii_digit())
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Backtick-quoted tokens on one line: `` `name` `` pieces.
-fn backticked(line: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut parts = line.split('`');
-    parts.next();
-    while let (Some(inside), Some(_)) = (parts.next(), parts.next()) {
-        out.push(inside);
-    }
-    out
-}
-
 /// DRAM timing tokens on one line: `t` followed by 2-4 uppercase
 /// letters, word-bounded (tRCD, tAA, tRAS, tRP, tCCD, ...).
 fn timing_tokens(line: &str) -> Vec<String> {
@@ -924,172 +556,6 @@ mod tests {
         assert!(timing_tokens("instant").is_empty());
     }
 
-    fn bench_files(fields: &[&str], version: u64) -> BTreeMap<String, ScannedFile> {
-        let list = fields
-            .iter()
-            .map(|f| format!("    \"{f}\","))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let src = format!(
-            "pub const RECORD_VERSION: u64 = {version};\n\
-             pub const RECORD_FIELDS: [&str; {}] = [\n{list}\n];\n",
-            fields.len()
-        );
-        let mut files = BTreeMap::new();
-        files.insert("crates/harness/src/bench.rs".to_string(), scan(&src));
-        files
-    }
-
-    #[test]
-    fn bench_schema_passes_when_doc_and_code_agree() {
-        let files = bench_files(&["format_version", "benches"], 1);
-        let doc = "## Bench history\n\n\
-                   `bench-history.jsonl` (format_version 1) records carry\n\
-                   `format_version` and `benches`.\n\n more prose";
-        assert!(bench_schema(&files, doc).is_empty());
-    }
-
-    #[test]
-    fn bench_schema_flags_both_directions_and_version_drift() {
-        let files = bench_files(&["format_version", "benches"], 2);
-        let doc = "`bench-history.jsonl` (format_version 1) records carry\n\
-                   `format_version` and `bogus_field`.\n";
-        let hits = bench_schema(&files, doc);
-        assert_eq!(hits.len(), 3, "{hits:?}");
-        assert!(hits.iter().all(|h| h.rule == "bench-schema" && h.file == "DESIGN.md"));
-        assert!(hits.iter().any(|h| h.message.contains("format_version 1")
-            && h.message.contains("RECORD_VERSION is 2")));
-        assert!(hits.iter().any(|h| h.message.contains("`bogus_field`")));
-        assert!(hits.iter().any(|h| h.message.contains("`benches`")
-            && h.message.contains("does not document")));
-    }
-
-    #[test]
-    fn bench_schema_requires_documentation_when_code_exists() {
-        let files = bench_files(&["format_version"], 1);
-        let hits = bench_schema(&files, "# DESIGN\n\nno schema here\n");
-        assert_eq!(hits.len(), 1);
-        assert!(hits[0].message.contains("harness::bench"));
-        assert!(hits[0].message.contains("never documents"));
-        assert!(bench_schema(&BTreeMap::new(), "anything").is_empty());
-    }
-
-    fn wire_files(fields: &[&str], version: u64) -> BTreeMap<String, ScannedFile> {
-        let list = fields
-            .iter()
-            .map(|f| format!("\"{f}\""))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let src = format!(
-            "pub const WIRE_VERSION: u64 = {version};\n\
-             pub const WIRE_FIELDS: [&str; {}] = [{list}];\n",
-            fields.len()
-        );
-        let mut files = BTreeMap::new();
-        files.insert("crates/serve/src/wire.rs".to_string(), scan(&src));
-        files
-    }
-
-    #[test]
-    fn wire_schema_passes_when_doc_and_code_agree() {
-        let files = wire_files(&["format_version", "endpoint"], 1);
-        let doc = "## Serve\n\n\
-                   Every response is a `serve-envelope` (format_version 1) with\n\
-                   `format_version` and `endpoint`.\n\n more prose";
-        assert!(wire_schema(&files, doc).is_empty());
-    }
-
-    #[test]
-    fn wire_schema_flags_both_directions_and_version_drift() {
-        let files = wire_files(&["format_version", "endpoint"], 2);
-        let doc = "Every response is a `serve-envelope` (format_version 1) with\n\
-                   `format_version` and `bogus_field`.\n";
-        let hits = wire_schema(&files, doc);
-        assert_eq!(hits.len(), 3, "{hits:?}");
-        assert!(hits.iter().all(|h| h.rule == "wire-schema" && h.file == "DESIGN.md"));
-        assert!(hits.iter().any(|h| h.message.contains("format_version 1")
-            && h.message.contains("WIRE_VERSION is 2")));
-        assert!(hits.iter().any(|h| h.message.contains("`bogus_field`")));
-        assert!(hits.iter().any(|h| h.message.contains("`endpoint`")
-            && h.message.contains("does not document")));
-    }
-
-    #[test]
-    fn wire_schema_requires_documentation_when_code_exists() {
-        let files = wire_files(&["format_version"], 1);
-        let hits = wire_schema(&files, "# DESIGN\n\nno schema here\n");
-        assert_eq!(hits.len(), 1);
-        assert!(hits[0].message.contains("serve::wire"));
-        assert!(hits[0].message.contains("never documents"));
-        assert!(wire_schema(&BTreeMap::new(), "anything").is_empty());
-    }
-
-    fn obs_files(event_fields: &[&str], hist_fields: &[&str], version: u64) -> BTreeMap<String, ScannedFile> {
-        let quote = |fields: &[&str]| {
-            fields
-                .iter()
-                .map(|f| format!("\"{f}\""))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let src = format!(
-            "pub const EVENT_VERSION: u64 = {version};\n\
-             pub const EVENT_FIELDS: [&str; {}] = [{}];\n\
-             pub const HIST_VERSION: u64 = {version};\n\
-             pub const HIST_FIELDS: [&str; {}] = [{}];\n",
-            event_fields.len(),
-            quote(event_fields),
-            hist_fields.len(),
-            quote(hist_fields),
-        );
-        let mut files = BTreeMap::new();
-        files.insert("crates/util/src/obs.rs".to_string(), scan(&src));
-        files
-    }
-
-    #[test]
-    fn obs_schema_passes_when_doc_and_code_agree() {
-        let files = obs_files(&["format_version", "span"], &["count", "p99"], 1);
-        let doc = "## Observability\n\n\
-                   Each `events.jsonl` line (format_version 1) carries\n\
-                   `format_version` and `span`.\n\n\
-                   A `histogram-summary` object (format_version 1) carries\n\
-                   `count` and `p99`.\n\n more prose";
-        assert!(obs_schema(&files, doc).is_empty());
-    }
-
-    #[test]
-    fn obs_schema_flags_both_directions_and_version_drift() {
-        let files = obs_files(&["format_version", "span"], &["count", "p99"], 2);
-        // Event block: bogus field, omits `span`, claims version 1.
-        // Histogram block: documents both fields correctly but claims
-        // version 1 against HIST_VERSION 2.
-        let doc = "Each `events.jsonl` line (format_version 1) carries\n\
-                   `format_version` and `bogus_field`.\n\n\
-                   A `histogram-summary` object (format_version 1) carries\n\
-                   `count` and `p99`.\n";
-        let hits = obs_schema(&files, doc);
-        assert_eq!(hits.len(), 4, "{hits:?}");
-        assert!(hits.iter().all(|h| h.rule == "obs-schema" && h.file == "DESIGN.md"));
-        assert!(hits.iter().any(|h| h.message.contains("format_version 1")
-            && h.message.contains("EVENT_VERSION is 2")));
-        assert!(hits.iter().any(|h| h.message.contains("format_version 1")
-            && h.message.contains("HIST_VERSION is 2")));
-        assert!(hits.iter().any(|h| h.message.contains("`bogus_field`")));
-        assert!(hits.iter().any(|h| h.message.contains("`span`")
-            && h.message.contains("does not document")));
-    }
-
-    #[test]
-    fn obs_schema_requires_documentation_when_code_exists() {
-        let files = obs_files(&["format_version"], &["count"], 1);
-        let hits = obs_schema(&files, "# DESIGN\n\nno schema here\n");
-        assert_eq!(hits.len(), 2);
-        assert!(hits.iter().all(|h| h.message.contains("util::obs")
-            && h.message.contains("never documents")));
-        assert!(obs_schema(&BTreeMap::new(), "anything").is_empty());
-    }
-
     #[test]
     fn probe_coverage_checks_phase_and_event_kind_enums() {
         let mut files = BTreeMap::new();
@@ -1109,86 +575,6 @@ mod tests {
         assert_eq!(hits.len(), 2, "{hits:?}");
         assert!(hits.iter().any(|h| h.message.contains("Phase::Idle")));
         assert!(hits.iter().any(|h| h.message.contains("EventKind::Reject")));
-    }
-
-    fn graph_files(fields: &[&str], version: u64) -> BTreeMap<String, ScannedFile> {
-        let list = fields
-            .iter()
-            .map(|f| format!("\"{f}\""))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let src = format!(
-            "pub const GRAPH_VERSION: u64 = {version};\n\
-             pub const GRAPH_FIELDS: [&str; {}] = [{list}];\n",
-            fields.len()
-        );
-        let mut files = BTreeMap::new();
-        files.insert("crates/lint/src/graph.rs".to_string(), scan(&src));
-        files
-    }
-
-    #[test]
-    fn graph_schema_passes_when_doc_and_code_agree() {
-        let files = graph_files(&["format_version", "functions"], 1);
-        let doc = "## Lint\n\n\
-                   The `lint-graph` summary (format_version 1) carries\n\
-                   `format_version` and `functions`.\n\n more prose";
-        assert!(graph_schema(&files, doc).is_empty());
-    }
-
-    #[test]
-    fn graph_schema_flags_both_directions_and_version_drift() {
-        let files = graph_files(&["format_version", "functions"], 2);
-        let doc = "The `lint-graph` summary (format_version 1) carries\n\
-                   `format_version` and `bogus_field`.\n";
-        let hits = graph_schema(&files, doc);
-        assert_eq!(hits.len(), 3, "{hits:?}");
-        assert!(hits.iter().all(|h| h.rule == "graph-schema" && h.file == "DESIGN.md"));
-        assert!(hits.iter().any(|h| h.message.contains("format_version 1")
-            && h.message.contains("GRAPH_VERSION is 2")));
-        assert!(hits.iter().any(|h| h.message.contains("`bogus_field`")));
-        assert!(hits.iter().any(|h| h.message.contains("`functions`")
-            && h.message.contains("does not document")));
-    }
-
-    fn pool_files(fields: &[&str], version: u64) -> BTreeMap<String, ScannedFile> {
-        let list = fields
-            .iter()
-            .map(|f| format!("\"{f}\""))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let src = format!(
-            "pub const POOL_VERSION: u64 = {version};\n\
-             pub const POOL_FIELDS: [&str; {}] = [{list}];\n",
-            fields.len()
-        );
-        let mut files = BTreeMap::new();
-        files.insert("crates/util/src/obs.rs".to_string(), scan(&src));
-        files
-    }
-
-    #[test]
-    fn pool_schema_passes_when_doc_and_code_agree() {
-        let files = pool_files(&["format_version", "stolen"], 1);
-        let doc = "## Scheduler\n\n\
-                   Each `pool-telemetry` batch (format_version 1) carries\n\
-                   `format_version` and `stolen`.\n\n more prose";
-        assert!(pool_schema(&files, doc).is_empty());
-    }
-
-    #[test]
-    fn pool_schema_flags_both_directions_and_version_drift() {
-        let files = pool_files(&["format_version", "stolen"], 2);
-        let doc = "Each `pool-telemetry` batch (format_version 1) carries\n\
-                   `format_version` and `bogus_field`.\n";
-        let hits = pool_schema(&files, doc);
-        assert_eq!(hits.len(), 3, "{hits:?}");
-        assert!(hits.iter().all(|h| h.rule == "pool-schema" && h.file == "DESIGN.md"));
-        assert!(hits.iter().any(|h| h.message.contains("format_version 1")
-            && h.message.contains("POOL_VERSION is 2")));
-        assert!(hits.iter().any(|h| h.message.contains("`bogus_field`")));
-        assert!(hits.iter().any(|h| h.message.contains("`stolen`")
-            && h.message.contains("does not document")));
     }
 
     #[test]

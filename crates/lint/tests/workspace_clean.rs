@@ -53,53 +53,6 @@ fn workspace_scan_is_not_vacuous() {
         variant_count > 0 || probe.contains("pub enum ProbeEvent"),
         "probe.rs no longer declares ProbeEvent; update the lint rule"
     );
-    // Same for the bench-schema rule: the record constants and the §11
-    // block must both exist, so a clean run means "in sync", not
-    // "nothing to compare".
-    let bench = std::fs::read_to_string(
-        workspace_root().join("crates/harness/src/bench.rs"),
-    )
-    .expect("bench.rs readable");
-    assert!(
-        bench.contains("const RECORD_FIELDS") && bench.contains("const RECORD_VERSION"),
-        "bench.rs no longer declares the record schema constants; update the lint rule"
-    );
-    let design = std::fs::read_to_string(workspace_root().join("DESIGN.md"))
-        .expect("DESIGN.md readable");
-    assert!(
-        design.contains("bench-history.jsonl"),
-        "DESIGN.md no longer documents the bench record schema"
-    );
-    // The call-graph pass must be non-vacuous too: a clean
-    // hot-path-alloc / lock-order / panic-reachability run has to mean
-    // "traversed and passed", not "found no roots to start from".
-    assert!(
-        report.graph.functions > 100 && report.graph.edges > 100,
-        "call graph shrank to {} fns / {} edges — did the parser break?",
-        report.graph.functions,
-        report.graph.edges
-    );
-    assert!(
-        report.graph.hot_roots > 0,
-        "no hot-path roots: the bench registry or closure synthesis broke"
-    );
-    assert!(
-        report.graph.handler_roots > 0,
-        "no Server request handlers found under crates/serve"
-    );
-    // And the graph-schema rule's two anchors must both exist.
-    let graph_src = std::fs::read_to_string(
-        workspace_root().join("crates/lint/src/graph.rs"),
-    )
-    .expect("graph.rs readable");
-    assert!(
-        graph_src.contains("const GRAPH_FIELDS") && graph_src.contains("const GRAPH_VERSION"),
-        "graph.rs no longer declares the graph schema constants; update the lint rule"
-    );
-    assert!(
-        design.contains("lint-graph"),
-        "DESIGN.md no longer documents the lint-graph summary schema"
-    );
     // Grandfathered debt is expected to exist for now; if it ever hits
     // zero, delete lint.ratchet rather than loosening this test.
     assert!(

@@ -7,8 +7,8 @@
 //! there as `PlanEngine`, keeping the dependency arrow pointing the
 //! same way as every other crate's — toward `tdc-util` only).
 //!
-//! * [`wire`] — the versioned `serve-envelope` JSON wire format, kept
-//!   in sync with DESIGN.md §12 by the `wire-schema` lint rule.
+//! * [`wire`] — the versioned serve-envelope JSON wire format
+//!   (DESIGN.md §12), pinned by the wire golden files.
 //! * [`store`] — the disk-persisted content-addressed result store
 //!   (one `cell-<fnv64>.json` per job cache key), shared with batch
 //!   `tdc all --cache-dir` warm starts.

@@ -15,9 +15,11 @@
 //! are deterministic and pinned as golden files; the nondeterministic
 //! parts (latency epochs, the accept loop) live in [`Server::serve`].
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufReader, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use tdc_util::http::{read_request, write_response, Request, Response};
@@ -86,13 +88,81 @@ impl Default for ServerConfig {
     }
 }
 
+thread_local! {
+    /// Server locks the current thread holds (0 or 1; see [`locked`]).
+    static HELD: Cell<u32> = const { Cell::new(0) };
+}
+
+/// A held server lock: the guard plus the thread's held-lock token.
+/// Fields drop in order, so the mutex is released before the count.
+struct Locked<'a, T> {
+    guard: MutexGuard<'a, T>,
+    _held: Held,
+}
+
+/// One server lock counted against the current thread.
+struct Held;
+
+impl Held {
+    fn take() -> Self {
+        let held = HELD.with(|n| n.replace(n.get() + 1));
+        debug_assert_eq!(held, 0, "server lock taken while holding another server lock");
+        Held
+    }
+}
+
+impl Drop for Held {
+    fn drop(&mut self) {
+        HELD.with(|n| n.set(n.get() - 1));
+    }
+}
+
 /// Locks `m`, recovering the data from a poisoned mutex. A poisoned
 /// lock means some other request's thread panicked; every critical
 /// section here leaves its map/counter consistent at each step, so the
 /// daemon keeps serving instead of cascading the panic through every
 /// thread that touches the same lock.
-fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+///
+/// Every server lock is a leaf: no thread takes one while holding
+/// another, which debug builds assert before blocking. Code that holds
+/// a single lock at a time cannot deadlock on lock order, whatever
+/// order its critical sections run in. Edition 2021 keeps temporaries
+/// of an `if let`/`match` scrutinee or of a whole `let` statement alive
+/// to the end of that construct, so take each guard in its own
+/// statement.
+fn locked<T>(m: &Mutex<T>) -> Locked<'_, T> {
+    let held = Held::take();
+    Locked {
+        guard: m.lock().unwrap_or_else(PoisonError::into_inner),
+        _held: held,
+    }
+}
+
+impl<T> Locked<'_, T> {
+    /// Blocks on `cv`, releasing the lock while asleep (the thread
+    /// holds no server lock then) and retaking it on wakeup.
+    fn wait(self, cv: &Condvar) -> Self {
+        let Locked { guard, _held } = self;
+        drop(_held);
+        let guard = cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+        Locked {
+            guard,
+            _held: Held::take(),
+        }
+    }
+}
+
+impl<T> Deref for Locked<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.guard
+    }
+}
+
+impl<T> DerefMut for Locked<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.guard
+    }
 }
 
 /// One `/metrics` epoch record: a completed request with its latency.
@@ -388,6 +458,8 @@ impl<E: Engine> Server<E> {
     }
 
     fn status_endpoint(&self) -> Response {
+        let cached_cells = locked(&self.mem).len();
+        let active = *locked(&self.active);
         let figures = Json::Arr(
             self.engine
                 .figure_ids()
@@ -398,17 +470,11 @@ impl<E: Engine> Server<E> {
         let data = Json::obj([
             ("figures", figures),
             ("plan_cells", Json::from(self.engine.key_count())),
-            (
-                "cached_cells",
-                Json::from(locked(&self.mem).len()),
-            ),
+            ("cached_cells", Json::from(cached_cells)),
             (
                 "queue",
                 Json::obj([
-                    (
-                        "active",
-                        Json::from(*locked(&self.active)),
-                    ),
+                    ("active", Json::from(active)),
                     ("capacity", Json::from(self.cfg.queue)),
                 ]),
             ),
@@ -603,7 +669,8 @@ impl<E: Engine> Server<E> {
     /// One cell: memory cache, then disk store, then a single-flight
     /// execution shared with every concurrent request for this key.
     fn cell(&self, rid: u64, key: &str) -> Result<Arc<Json>, String> {
-        if let Some(doc) = locked(&self.mem).get(key).cloned() {
+        let cached = locked(&self.mem).get(key).cloned();
+        if let Some(doc) = cached {
             self.metrics.mem_hits.fetch_add(1, Ordering::Relaxed);
             self.event(rid, "cell", EventKind::MemHit, key);
             return Ok(doc);
@@ -640,10 +707,7 @@ impl<E: Engine> Server<E> {
             self.event(rid, "cell", EventKind::DedupJoin, key);
             let mut slot = locked(&flight.slot);
             while slot.is_none() {
-                slot = flight
-                    .ready
-                    .wait(slot)
-                    .unwrap_or_else(PoisonError::into_inner);
+                slot = slot.wait(&flight.ready);
             }
             return slot
                 .clone()
@@ -737,10 +801,7 @@ impl<E: Engine> Server<E> {
         // the stop flip is fully delivered before the process exits.
         let mut n = locked(&self.conns);
         while *n > 0 {
-            n = self
-                .conns_idle
-                .wait(n)
-                .unwrap_or_else(PoisonError::into_inner);
+            n = n.wait(&self.conns_idle);
         }
         Ok(())
     }
@@ -775,7 +836,8 @@ impl<E: Engine> Server<E> {
         // loop — a sibling handler observing the flag mid-flight must
         // not trigger the exit while responses are still being written.
         if self.stopping() && req.target == "/shutdown" {
-            if let Some(addr) = *locked(&self.addr) {
+            let addr = *locked(&self.addr);
+            if let Some(addr) = addr {
                 let _ = TcpStream::connect(addr);
             }
         }
@@ -806,9 +868,12 @@ mod tests {
     use std::time::Duration;
 
     /// A two-figure mock: `figA` = {cell:a, cell:b}, `figB` = {cell:b}.
+    /// With `fail_b` set, executing `cell:b` returns an error.
     struct MockEngine {
         delay: Duration,
         executed: AtomicU64,
+        fail_b: bool,
+        failed: AtomicU64,
     }
 
     impl MockEngine {
@@ -816,6 +881,8 @@ mod tests {
             Self {
                 delay,
                 executed: AtomicU64::new(0),
+                fail_b: false,
+                failed: AtomicU64::new(0),
             }
         }
     }
@@ -839,6 +906,10 @@ mod tests {
         }
         fn execute(&self, key: &str) -> Result<Json, String> {
             std::thread::sleep(self.delay);
+            if self.fail_b && key == "cell:b" {
+                self.failed.fetch_add(1, Ordering::SeqCst);
+                return Err("mock failure".into());
+            }
             self.executed.fetch_add(1, Ordering::SeqCst);
             Ok(Json::obj([
                 ("key", Json::from(key)),
@@ -1007,5 +1078,84 @@ mod tests {
         let work = env.get("data").and_then(|d| d.get("work")).expect("work object");
         assert_eq!(work.get("executed").and_then(Json::as_u64), Some(1));
         assert_eq!(work.get("mem_hits").and_then(Json::as_u64), Some(1));
+    }
+
+    /// Seeded random requests — method, target (known routes, junk
+    /// figure ids, very long and mutated paths) and a mutated body —
+    /// never panic the handler. Every response is a `serve-envelope`
+    /// with a status from the documented set, and a 500 only ever
+    /// reports an engine error.
+    #[test]
+    fn handle_never_panics_on_random_requests() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use tdc_util::testkit::XorShift64;
+
+        let mut engine = MockEngine::new(Duration::ZERO);
+        engine.fail_b = true;
+        let srv = Server::new(engine, ServerConfig { jobs: 2, queue: 4 }, None);
+        let methods = ["GET", "POST", "PUT", "get", ""];
+        let routes = ["/sweep", "/status", "/metrics", "/metrics.prom", "/figure/figA", "/figure/figB"];
+        let bodies = [
+            sweep_req(&["cell:a"]).body,
+            sweep_req(&["cell:a", "cell:b"]).body,
+            wire::sweep_request(&[], &["figA".into(), "figZ".into()]).pretty().into_bytes(),
+            b"{\"format_version\":1}".to_vec(),
+        ];
+        let dict: [&[u8]; 8] = [b"{", b"}", b"[]", b"\"", b":", b"null", b"\xff", b"\"cell:b\""];
+        let mut rng = XorShift64::new(2015);
+        let mut seen = BTreeMap::new();
+        for case in 0..3_000 {
+            let method = methods[rng.below(methods.len() as u64) as usize];
+            let route = routes[rng.below(routes.len() as u64) as usize];
+            let target = match rng.below(4) {
+                0 => route.to_string(),
+                1 => format!("/figure/{}", rng.next_u64()),
+                2 => format!("{route}/{}", "x".repeat(rng.below(70_000) as usize)),
+                _ => {
+                    let mut bytes = route.as_bytes().to_vec();
+                    rng.mutate(&mut bytes, &dict);
+                    String::from_utf8_lossy(&bytes).into_owned()
+                }
+            };
+            let mut body = bodies[rng.below(bodies.len() as u64) as usize].clone();
+            if rng.chance(60) {
+                rng.mutate(&mut body, &dict);
+            }
+            let req = Request::new(method, &target, body);
+            let failures = srv.engine().failed.load(Ordering::SeqCst);
+            let resp = catch_unwind(AssertUnwindSafe(|| srv.handle(&req)))
+                .unwrap_or_else(|_| panic!("case {case} panicked the handler: {req:?}"));
+            let engine_failed = srv.engine().failed.load(Ordering::SeqCst) > failures;
+            *seen.entry(resp.status).or_insert(0u32) += 1;
+            if method == "GET" && target == "/metrics.prom" {
+                assert_eq!(resp.status, 200);
+                continue;
+            }
+            let env = body_json(&resp);
+            let Json::Obj(fields) = &env else {
+                panic!("case {case}: response is not an envelope object");
+            };
+            let names: Vec<&str> = fields.iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(names, wire::WIRE_FIELDS, "case {case}");
+            assert_eq!(
+                env.get("status").and_then(Json::as_u64),
+                Some(u64::from(resp.status)),
+                "case {case}"
+            );
+            assert!(
+                [200, 400, 404, 405, 429, 500].contains(&resp.status),
+                "case {case}: status {} for {req:?}",
+                resp.status
+            );
+            assert!(
+                resp.status != 500 || engine_failed,
+                "case {case}: 500 without an engine error for {req:?}"
+            );
+        }
+        // Every status the handler can produce single-threaded showed
+        // up, so the cases reached each route's error paths.
+        for status in [200, 400, 404, 405, 500] {
+            assert!(seen.contains_key(&status), "no {status} in {seen:?}");
+        }
     }
 }

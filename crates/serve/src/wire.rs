@@ -3,9 +3,8 @@
 //!
 //! Everything on the wire is hand-rolled [`tdc_util::json`] — no serde,
 //! same as the `results/` artifacts — and the envelope shape is pinned
-//! three ways: the constants below, the DESIGN.md §12 prose (kept in
-//! sync both directions by the `wire-schema` lint rule), and the golden
-//! request/response files under `tests/golden/`.
+//! two ways: the constants below (DESIGN.md §12 points at them) and the
+//! golden request/response files under `tests/golden/`.
 
 use tdc_util::Json;
 
@@ -13,9 +12,8 @@ use tdc_util::Json;
 /// request document; bump on any incompatible wire change.
 pub const WIRE_VERSION: u64 = 1;
 
-/// Top-level fields of the `serve-envelope` response object, in wire
-/// order. The `wire-schema` lint rule keeps this list and DESIGN.md §12
-/// agreeing in both directions.
+/// Top-level fields of the serve-envelope response object, in wire
+/// order.
 pub const WIRE_FIELDS: [&str; 5] = ["format_version", "endpoint", "status", "data", "error"];
 
 /// Builds the response envelope: `data` for 2xx payloads, `error` as a

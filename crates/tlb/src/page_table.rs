@@ -153,9 +153,9 @@ impl PageTable {
         });
         let slot = self.ptes.len();
         debug_assert!(slot <= u32::MAX as usize, "page table exceeds u32 slots");
-        self.ptes.push(Pte::physical(ppn)); // tdc-lint: allow(hot-path-alloc) first touch only
-        self.vpns.push(vpn); // tdc-lint: allow(hot-path-alloc) first touch only
-        // tdc-lint: allow(cast-truncation, hot-path-alloc) slot bound debug_assert-pinned; first touch only
+        self.ptes.push(Pte::physical(ppn));
+        self.vpns.push(vpn);
+        // tdc-lint: allow(cast-truncation) slot bound debug_assert-pinned
         let old = self.index.insert(vpn.0, slot as u32);
         debug_assert!(old.is_none(), "VPN {vpn:?} double-faulted");
         &mut self.ptes[slot]

@@ -6,7 +6,7 @@
 //! the two shared building blocks:
 //!
 //! * [`FlatMap`] — an open-addressed `u64 → V` hash table with linear
-//!   probing, tombstone deletion, and fibonacci hashing. Fully
+//!   probing, backward-shift deletion, and fibonacci hashing. Fully
 //!   deterministic: the table state is a pure function of the operation
 //!   sequence, never of pointer values or iteration-order accidents.
 //! * [`FixedRing`] — a fixed-capacity ring buffer (FIFO) with a linear
@@ -17,9 +17,6 @@
 const EMPTY: u8 = 0;
 /// Control byte: slot holds a live key.
 const FULL: u8 = 1;
-/// Control byte: slot held a key that was removed (probe chains must
-/// continue through it).
-const TOMB: u8 = 2;
 
 /// Fibonacci multiplier (2^64 / φ); spreads low-entropy keys across the
 /// high bits, which index the table.
@@ -31,13 +28,14 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 /// lives in a separate control-byte array, struct-of-arrays style).
 /// Lookups are a multiply, a shift, and a short linear scan over a
 /// contiguous key array — no tree pointers, no per-node allocation.
+/// Removal leaves no tombstone, so a table whose size stays bounded
+/// never grows or rehashes however many keys pass through it.
 #[derive(Debug, Clone)]
 pub struct FlatMap<V> {
     ctrl: Vec<u8>,
     keys: Vec<u64>,
     vals: Vec<V>,
     len: usize,
-    tombs: usize,
     /// `64 - log2(capacity)`; hashes index via `h >> shift`.
     shift: u32,
 }
@@ -62,7 +60,6 @@ impl<V: Copy + Default> FlatMap<V> {
             keys: vec![0; slots],
             vals: vec![V::default(); slots],
             len: 0,
-            tombs: 0,
             shift: 64 - slots.trailing_zeros(),
         }
     }
@@ -123,22 +120,17 @@ impl<V: Copy + Default> FlatMap<V> {
 
     /// Inserts `key → val`, returning the previous value if present.
     pub fn insert(&mut self, key: u64, val: V) -> Option<V> {
-        if (self.len + self.tombs + 1) * 8 > self.ctrl.len() * 7 {
+        if (self.len + 1) * 8 > self.ctrl.len() * 7 {
             self.grow();
         }
         let mask = self.mask();
         let mut i = self.start(key);
-        let mut first_tomb = None;
         loop {
             match self.ctrl[i] {
                 EMPTY => {
-                    let at = first_tomb.unwrap_or(i);
-                    if self.ctrl[at] == TOMB {
-                        self.tombs -= 1;
-                    }
-                    self.ctrl[at] = FULL;
-                    self.keys[at] = key;
-                    self.vals[at] = val;
+                    self.ctrl[i] = FULL;
+                    self.keys[i] = key;
+                    self.vals[i] = val;
                     self.len += 1;
                     return None;
                 }
@@ -147,33 +139,45 @@ impl<V: Copy + Default> FlatMap<V> {
                     self.vals[i] = val;
                     return Some(old);
                 }
-                TOMB => {
-                    if first_tomb.is_none() {
-                        first_tomb = Some(i);
-                    }
-                    i = (i + 1) & mask;
-                }
                 _ => i = (i + 1) & mask,
             }
         }
     }
 
     /// Removes `key`, returning its value if it was present.
+    ///
+    /// Backward-shift deletion: each later entry of the probe run that
+    /// may legally sit in the hole (its home slot is at or before the
+    /// hole, cyclically) moves into it, and the last hole becomes
+    /// empty. Every remaining key stays reachable from its home slot
+    /// without tombstones.
     pub fn remove(&mut self, key: u64) -> Option<V> {
         let mask = self.mask();
-        let mut i = self.start(key);
+        let mut hole = self.start(key);
         loop {
-            match self.ctrl[i] {
+            match self.ctrl[hole] {
                 EMPTY => return None,
-                FULL if self.keys[i] == key => {
-                    self.ctrl[i] = TOMB;
-                    self.len -= 1;
-                    self.tombs += 1;
-                    return Some(self.vals[i]);
-                }
-                _ => i = (i + 1) & mask,
+                FULL if self.keys[hole] == key => break,
+                _ => hole = (hole + 1) & mask,
             }
         }
+        let old = self.vals[hole];
+        self.len -= 1;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            if self.ctrl[j] == EMPTY {
+                break;
+            }
+            let home = self.start(self.keys[j]);
+            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
+                self.keys[hole] = self.keys[j];
+                self.vals[hole] = self.vals[j];
+                hole = j;
+            }
+        }
+        self.ctrl[hole] = EMPTY;
+        Some(old)
     }
 
     /// All live `(key, value)` pairs, sorted by key (test/debug helper;
@@ -193,7 +197,6 @@ impl<V: Copy + Default> FlatMap<V> {
 
     /// Doubles capacity and rehashes. Amortized over the insertions
     /// that triggered it — growth is not steady-state hot-path work.
-    // tdc-lint: cold
     fn grow(&mut self) {
         let new_slots = self.ctrl.len() * 2;
         let old_ctrl = std::mem::replace(&mut self.ctrl, vec![EMPTY; new_slots]);
@@ -201,7 +204,6 @@ impl<V: Copy + Default> FlatMap<V> {
         let old_vals = std::mem::replace(&mut self.vals, vec![V::default(); new_slots]);
         self.shift = 64 - new_slots.trailing_zeros();
         self.len = 0;
-        self.tombs = 0;
         for ((c, k), v) in old_ctrl.iter().zip(&old_keys).zip(&old_vals) {
             if *c == FULL {
                 self.insert(*k, *v);
@@ -369,7 +371,22 @@ mod tests {
     }
 
     #[test]
-    fn flatmap_tombstones_keep_probe_chains_alive() {
+    fn flatmap_churn_at_bounded_size_never_grows() {
+        // A pending-fill table: keys come and go, at most 8 live at once.
+        let mut m = FlatMap::new();
+        let slots = m.ctrl.len();
+        for k in 0..100_000u64 {
+            m.insert(k, k);
+            if k >= 8 {
+                assert_eq!(m.remove(k - 8), Some(k - 8));
+            }
+        }
+        assert_eq!(m.len(), 8);
+        assert_eq!(m.ctrl.len(), slots, "churn grew the table");
+    }
+
+    #[test]
+    fn flatmap_deletion_keeps_probe_chains_alive() {
         // Force collisions into one cluster, delete the middle, and
         // check the tail of the chain is still reachable.
         let mut m = FlatMap::with_capacity(4);
@@ -388,7 +405,7 @@ mod tests {
             };
             assert_eq!(m.get(k), want, "key {k}");
         }
-        // Re-insertion reuses tombstones.
+        // Re-insertion lands in a freed slot.
         m.insert(3, 33);
         assert_eq!(m.get(3), Some(33));
     }
@@ -396,27 +413,36 @@ mod tests {
     #[test]
     fn flatmap_matches_btreemap_reference() {
         // Differential check against the map it replaces, over a mixed
-        // insert/remove/overwrite stream.
-        let mut flat = FlatMap::new();
-        let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut x = 0x0135_79bd_f246_8ace_u64;
-        for step in 0..20_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let key = x % 512; // small key space => plenty of overwrites
-            match x % 3 {
-                0 | 1 => {
-                    assert_eq!(flat.insert(key, step), reference.insert(key, step));
+        // insert/remove/overwrite stream. Small key spaces give plenty of
+        // overwrites; 24 keys keep a 32-slot table 75% full, so deletions
+        // shift long clusters that wrap around the table's end.
+        for space in [512u64, 24] {
+            let mut flat = FlatMap::new();
+            let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut x = 0x0135_79bd_f246_8ace_u64;
+            for step in 0..20_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let key = x % space;
+                match x % 3 {
+                    0 | 1 => {
+                        assert_eq!(flat.insert(key, step), reference.insert(key, step));
+                    }
+                    _ => {
+                        assert_eq!(flat.remove(key), reference.remove(&key));
+                    }
                 }
-                _ => {
-                    assert_eq!(flat.remove(key), reference.remove(&key));
+                assert_eq!(flat.len(), reference.len(), "len diverged at {step}");
+                if step % 97 == 0 {
+                    for k in 0..space {
+                        assert_eq!(flat.get(k), reference.get(&k).copied(), "key {k} at {step}");
+                    }
                 }
             }
-            assert_eq!(flat.len(), reference.len(), "len diverged at {step}");
+            let pairs: Vec<(u64, u64)> = reference.into_iter().collect();
+            assert_eq!(flat.sorted_pairs(), pairs);
         }
-        let pairs: Vec<(u64, u64)> = reference.into_iter().collect();
-        assert_eq!(flat.sorted_pairs(), pairs);
     }
 
     #[test]

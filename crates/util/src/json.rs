@@ -255,6 +255,9 @@ fn write_f64(out: &mut String, v: f64) {
     } else if v == v.trunc() && v.abs() < 1e15 {
         // Keep a ".0" so the value parses back as a float.
         out.push_str(&format!("{v:.1}"));
+    } else if v == v.trunc() {
+        // `{v}` would print a bare integer that parses back as U64.
+        out.push_str(&format!("{v:e}"));
     } else {
         out.push_str(&format!("{v}"));
     }
@@ -515,12 +518,16 @@ impl<'a> Parser<'a> {
                 return Ok(Json::U64(v));
             }
             if let Ok(v) = text.parse::<i64>() {
-                return Ok(Json::I64(v));
+                // `-0` is zero, which serializes (and compares) as U64.
+                return Ok(u64::try_from(v).map_or(Json::I64(v), Json::U64));
             }
         }
-        text.parse::<f64>()
-            .map(Json::F64)
-            .map_err(|_| self.err("invalid number"))
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::F64(v)),
+            // An overflowing literal would serialize as `null`.
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 

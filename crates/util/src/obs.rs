@@ -21,12 +21,11 @@
 //!   ns, source-deque depth samples, per-task spans) collected by
 //!   [`crate::pool::run_tasks_telemetry`] and rendered as a Perfetto
 //!   track by [`pool_trace_json`]; serialized fields fixed by
-//!   [`POOL_FIELDS`] and lint-pinned to DESIGN.md §16 (`pool-schema`
-//!   rule).
+//!   [`POOL_FIELDS`] (DESIGN.md §16) and pinned by this module's tests.
 //! * [`EventLog`] — the span-correlated JSONL event log
 //!   (`results/events.jsonl`): one compact serde-free JSON object per
-//!   line, fields fixed by [`EVENT_FIELDS`] and lint-pinned to
-//!   DESIGN.md §13 (`obs-schema` rule).
+//!   line, fields fixed by [`EVENT_FIELDS`] (DESIGN.md §13) and pinned
+//!   by this module's tests.
 
 use crate::json::Json;
 use crate::probe::{Phase, Probe};
@@ -50,8 +49,8 @@ pub const HIST_BUCKETS: usize = 252;
 /// Schema version stamped next to every serialized histogram summary.
 pub const HIST_VERSION: u64 = 1;
 
-/// Field names of a serialized histogram summary, in writer order.
-/// Lint-pinned to the DESIGN.md §13 `histogram-summary` block.
+/// Field names of a serialized histogram summary, in writer order
+/// (DESIGN.md §13).
 pub const HIST_FIELDS: [&str; 7] = ["count", "sum", "min", "max", "p50", "p90", "p99"];
 
 /// Maps a value to its bucket index. Values below 8 get exact
@@ -263,8 +262,7 @@ impl ProfRecorder {
     ///
     /// Profiling is opt-in diagnostics (`tdc prof`); the span stack's
     /// amortized growth is recorder overhead the report subtracts, not
-    /// simulated work, so it sits outside the hot-path budget.
-    // tdc-lint: cold
+    /// simulated work.
     pub fn begin(&mut self, phase: Phase) {
         self.stack.push((phase, Instant::now(), 0)); // tdc-lint: allow(time-source)
     }
@@ -376,8 +374,7 @@ impl Probe for ProfProbe {
 pub const POOL_VERSION: u64 = 1;
 
 /// Field names of a serialized pool-telemetry batch (batch level plus
-/// the per-worker objects), in writer order. Lint-pinned to the
-/// DESIGN.md §16 `pool-telemetry` block (`pool-schema` rule).
+/// the per-worker objects), in writer order (DESIGN.md §16).
 pub const POOL_FIELDS: [&str; 11] = [
     "format_version",
     "wall_ns",
@@ -529,8 +526,8 @@ pub fn pool_trace_json(batches: &[(PoolTelemetry, Vec<String>)]) -> Json {
 /// Schema version stamped on every event-log line.
 pub const EVENT_VERSION: u64 = 1;
 
-/// Field names of one `events.jsonl` line, in writer order.
-/// Lint-pinned to the DESIGN.md §13 `events.jsonl` block.
+/// Field names of one `events.jsonl` line, in writer order
+/// (DESIGN.md §13).
 pub const EVENT_FIELDS: [&str; 6] =
     ["format_version", "ts_us", "request_id", "span", "event", "detail"];
 

@@ -588,7 +588,6 @@ impl Recorder {
     /// Event capture is opt-in instrumentation — bench kernels attach
     /// the null probe, so this body never runs on a timed path; its
     /// buffers are the diagnostic product itself.
-    // tdc-lint: cold
     pub fn record(&mut self, now: Cycle, ev: ProbeEvent) {
         if self.mask & ev.group().bit() == 0 {
             return;

@@ -16,6 +16,14 @@
 //!
 //! Generators are seeded [`XorShift64`] streams — no external property
 //! testing crates, per the workspace's zero-dependency rule.
+//!
+//! The same generator drives the dynamic checks of DESIGN.md §14:
+//! [`XorShift64::mutate`] is the byte mutator behind the parser fuzz
+//! tests, and [`CountingAlloc`] is the allocation counter the
+//! allocation-freedom tests install as their global allocator.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 /// A tiny xorshift64 PRNG for trace generation.
 ///
@@ -61,6 +69,89 @@ impl XorShift64 {
     /// True with probability `percent`/100.
     pub fn chance(&mut self, percent: u64) -> bool {
         self.below(100) < percent
+    }
+
+    /// Applies one to four random edits to `bytes`: bit flips, byte
+    /// overwrites, deletions, duplicated chunks, truncation, and
+    /// insertions of `dict` tokens (the syntax a parser branches on,
+    /// which blind byte edits rarely produce).
+    pub fn mutate(&mut self, bytes: &mut Vec<u8>, dict: &[&[u8]]) {
+        for _ in 0..=self.below(4) {
+            let len = bytes.len() as u64;
+            let at = self.below(len + 1) as usize;
+            match self.below(7) {
+                0 if at < bytes.len() => bytes[at] ^= 1 << self.below(8),
+                1 if at < bytes.len() => bytes[at] = self.next_u64() as u8,
+                2 => {
+                    let end = (at + 1 + self.below(8) as usize).min(bytes.len());
+                    bytes.drain(at.min(end)..end);
+                }
+                3 if at < bytes.len() => {
+                    let end = (at + 1 + self.below(16) as usize).min(bytes.len());
+                    let chunk = bytes[at..end].to_vec();
+                    bytes.splice(at..at, chunk);
+                }
+                4 => bytes.truncate(at),
+                _ if !dict.is_empty() => {
+                    let token = dict[self.below(dict.len() as u64) as usize];
+                    bytes.splice(at..at, token.iter().copied());
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A global allocator that forwards to [`System`] and counts, per
+/// thread, every call that hands out memory (`alloc`, `alloc_zeroed`,
+/// `realloc`). A test binary installs it with
+/// `#[global_allocator] static A: CountingAlloc = CountingAlloc;` and
+/// reads [`CountingAlloc::count`] before and after the code under
+/// test: the difference is exactly the allocations that code made on
+/// this thread, where a static scan could only guess from call names.
+///
+/// This is the workspace's only `unsafe`: `GlobalAlloc` is an unsafe
+/// trait, and forwarding to `System` cannot be written without it.
+/// Each method passes its arguments through unchanged, so `System`'s
+/// guarantees are the caller's. The counter is a const-initialized
+/// `thread_local!` `Cell` without a destructor: touching it never
+/// allocates (no recursion into the allocator) and works during thread
+/// teardown (`try_with` covers the rest).
+pub struct CountingAlloc;
+
+impl CountingAlloc {
+    /// Allocations made so far by the calling thread.
+    pub fn count() -> u64 {
+        ALLOCATIONS.with(Cell::get)
+    }
+
+    fn bump() {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::bump();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::bump();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::bump();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 
@@ -157,6 +248,21 @@ mod tests {
         }
         assert!(!XorShift64::new(1).chance(0));
         assert!(XorShift64::new(1).chance(100));
+    }
+
+    #[test]
+    fn mutate_is_seeded_and_uses_the_dictionary() {
+        let run = |seed| {
+            let mut rng = XorShift64::new(seed);
+            let mut bytes = b"GET / HTTP/1.1".to_vec();
+            for _ in 0..64 {
+                rng.mutate(&mut bytes, &[b"@@"]);
+            }
+            bytes
+        };
+        assert_eq!(run(3), run(3));
+        assert_ne!(run(3), run(4));
+        assert!(run(3).windows(2).any(|w| w == b"@@"));
     }
 
     #[test]

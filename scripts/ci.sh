@@ -21,14 +21,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 echo "== tests (unit + property + integration) =="
 cargo test -q --workspace
 
+echo "== allocation gate in the release build the benchmarks time =="
+cargo test --release -q -p tdc-core --test alloc_free -p tdc-harness --test kernel_alloc
+
 echo "== lint: tdc lint (determinism & invariant static analysis) =="
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 ./target/release/tdc lint --out "$out"
 test -s "$out/lint.json" || { echo "lint wrote no lint.json" >&2; exit 1; }
 
-echo "== lint: hot-path allocation gate (--only filter smoke) =="
-./target/release/tdc lint --only hot-path-alloc --no-out
+echo "== lint: --only filter smoke =="
+./target/release/tdc lint --only time-source,panic-in-lib --no-out
 
 echo "== smoke: tdc all --jobs 2 at 5% scale (cold, populating the store) =="
 ./target/release/tdc all --jobs 2 --scale 0.05 --quiet --out "$out" \
