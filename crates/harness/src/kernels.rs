@@ -466,23 +466,22 @@ fn k_lint_workspace_scan() -> Box<dyn FnMut() -> u64> {
     })
 }
 
-/// The work-stealing scheduler under a deliberately skewed task-cost
-/// distribution (DESIGN.md §16): 32 tasks on 4 workers where the first
-/// seeded slice is all boulders and the rest are pebbles, so finishing
-/// in balanced time requires the pebble workers to steal the boulder
-/// owner's leftovers. The kernel times one whole `run_tasks` batch —
-/// spawn, seeded-slice dispatch, steal sweeps, join — and the sum it
-/// returns is schedule-independent, so the value stream stays
+/// The shared-counter worker pool under a deliberately skewed task-cost
+/// distribution (DESIGN.md §7): 32 tasks on 4 workers, the first 8 of
+/// them boulders and the rest pebbles, so finishing in balanced time
+/// requires the workers that drew pebbles to keep claiming from the
+/// shared counter while the boulders run. The kernel times one whole
+/// `run_tasks` batch — spawn, `fetch_add` dispatch, join — and the sum
+/// it returns is schedule-independent, so the value stream stays
 /// deterministic while the regression gate watches the scheduling
-/// cost. If stealing quietly stopped working, the batch would
-/// serialize behind the boulder slice and trip the gate.
+/// cost. The id predates the shared counter (it once timed a
+/// work-stealing pool) and is kept so the gate keeps comparing against
+/// the recorded history.
 fn k_pool_steal_imbalanced() -> Box<dyn FnMut() -> u64> {
-    // 8 boulders followed by 24 pebbles: with 4 workers and contiguous
-    // seeding, worker 0 owns every boulder.
     let costs: Vec<u64> = (0..32u64).map(|i| if i < 8 { 32_000 } else { 500 }).collect();
-    // The batch setup (deques, result slots) and per-task spin are the
-    // measured scheduler cost; this closure is the pool's own gate, not
-    // a simulator hot path.
+    // The batch setup (result slots, telemetry) and per-task spin are
+    // the measured scheduler cost; this closure is the pool's own gate,
+    // not a simulator hot path.
     Box::new(move || {
         let parts = tdc_util::pool::run_tasks(&costs, 4, |i, &spin| {
             let mut acc = i as u64 + 1;

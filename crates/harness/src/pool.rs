@@ -1,14 +1,14 @@
 //! The experiment-job front end of the shared worker pool.
 //!
-//! Scheduling is delegated to the generic [`tdc_util::pool::run_tasks`]
-//! work-stealing scheduler (per-worker deques over `std::thread::scope`,
-//! DESIGN.md §16; no external crates); this module only adds the
-//! `Job`-specific pieces: per-job
-//! wall-clock timing and the progress callback. Scheduling order is
-//! **irrelevant to results**: every job is a pure function of its own
-//! fields (all RNG streams derive from the job's seed), so the batch's
-//! outputs are bit-identical whether it runs on one thread or sixteen.
-//! Only wall-clock time and the interleaving of progress lines vary.
+//! Scheduling is delegated to the generic
+//! [`tdc_util::pool::run_tasks_telemetry`] shared-counter dispatch loop
+//! (DESIGN.md §7; no external crates); this module only adds the
+//! `Job`-specific pieces: per-job wall-clock timing and the progress
+//! callback. Scheduling order is **irrelevant to results**: every job
+//! is a pure function of its own fields (all RNG streams derive from
+//! the job's seed), so the batch's outputs are bit-identical whether it
+//! runs on one thread or sixteen. Only wall-clock time and the
+//! interleaving of progress lines vary.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 // Job timing feeds results/metrics.json, which is documented as the one
@@ -35,25 +35,14 @@ pub fn run_batch(
     feed: TraceFeed,
     progress: &(dyn Fn(usize, usize, &str, Duration) + Sync),
 ) -> Vec<Completed> {
-    let total = jobs.len();
-    let done = AtomicUsize::new(0);
-    tdc_util::pool::run_tasks(jobs, threads, |_, job| {
-        let start = Instant::now(); // tdc-lint: allow(time-source)
-        let result = job.execute_with(feed);
-        let elapsed = start.elapsed();
-        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-        progress(finished, total, &job.label(), elapsed);
-        Completed { result, elapsed }
-    })
+    run_batch_telemetry(jobs, threads, feed, progress).0
 }
 
 /// Like [`run_batch`], additionally returning the scheduler telemetry
 /// ([`tdc_util::obs::PoolTelemetry`]) the underlying pool collected:
-/// per-worker busy/idle time with owned-vs-stolen task attribution,
-/// steal attempt/failure counters, source-deque depth samples, and
-/// per-task spans for the Perfetto pool track. Results are identical to
-/// [`run_batch`]'s — the telemetry is a side channel about the
-/// schedule, never an input to any job.
+/// per-worker busy/idle time and per-task spans for the Perfetto pool
+/// track. The telemetry is a side channel about the schedule, never an
+/// input to any job.
 pub fn run_batch_telemetry(
     jobs: &[Job],
     threads: usize,

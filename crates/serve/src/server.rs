@@ -197,13 +197,9 @@ struct Metrics {
     epochs: Mutex<VecDeque<EpochRecord>>,
     latency_us: Mutex<LogHistogram>,
     // Cumulative scheduler counters over every pooled sweep batch
-    // (DESIGN.md §16); wall-clock observability, `/metrics` only.
+    // (DESIGN.md §7); wall-clock observability, `/metrics` only.
     pool_batches: AtomicU64,
     pool_tasks: AtomicU64,
-    pool_owned: AtomicU64,
-    pool_stolen: AtomicU64,
-    pool_steal_attempts: AtomicU64,
-    pool_steal_failures: AtomicU64,
     pool_busy_ns: AtomicU64,
     pool_idle_ns: AtomicU64,
 }
@@ -551,10 +547,6 @@ impl<E: Engine> Server<E> {
         let pool = Json::obj([
             ("batches", count(&m.pool_batches)),
             ("tasks", count(&m.pool_tasks)),
-            ("owned", count(&m.pool_owned)),
-            ("stolen", count(&m.pool_stolen)),
-            ("steal_attempts", count(&m.pool_steal_attempts)),
-            ("steal_failures", count(&m.pool_steal_failures)),
             ("busy_ns", count(&m.pool_busy_ns)),
             ("idle_ns", count(&m.pool_idle_ns)),
         ]);
@@ -648,19 +640,13 @@ impl<E: Engine> Server<E> {
         Ok(cells)
     }
 
-    /// Folds one sweep batch's scheduler telemetry (DESIGN.md §16)
+    /// Folds one sweep batch's scheduler telemetry (DESIGN.md §7)
     /// into the cumulative `/metrics` pool counters.
     fn record_pool(&self, telemetry: &tdc_util::obs::PoolTelemetry) {
         let m = &self.metrics;
         m.pool_batches.fetch_add(1, Ordering::Relaxed);
         for w in &telemetry.workers {
             m.pool_tasks.fetch_add(w.tasks, Ordering::Relaxed);
-            m.pool_owned.fetch_add(w.owned, Ordering::Relaxed);
-            m.pool_stolen.fetch_add(w.stolen, Ordering::Relaxed);
-            m.pool_steal_attempts
-                .fetch_add(w.steal_attempts, Ordering::Relaxed);
-            m.pool_steal_failures
-                .fetch_add(w.steal_failures, Ordering::Relaxed);
             m.pool_busy_ns.fetch_add(w.busy_ns, Ordering::Relaxed);
             m.pool_idle_ns.fetch_add(w.idle_ns, Ordering::Relaxed);
         }

@@ -16,12 +16,11 @@
 //!   [`crate::probe::Phase`], fed through the [`Probe`] seam's
 //!   `prof_enabled`/`phase_begin`/`phase_end` hooks (which stay
 //!   monomorphized no-ops under [`crate::probe::NoProbe`]).
-//! * [`PoolTelemetry`] — per-worker scheduler counters (tasks run
-//!   split owned vs stolen, steal attempt/failure counts, busy/idle
-//!   ns, source-deque depth samples, per-task spans) collected by
+//! * [`PoolTelemetry`] — per-worker scheduler counters (tasks run,
+//!   busy/idle ns, per-task spans) collected by
 //!   [`crate::pool::run_tasks_telemetry`] and rendered as a Perfetto
 //!   track by [`pool_trace_json`]; serialized fields fixed by
-//!   [`POOL_FIELDS`] (DESIGN.md §16) and pinned by this module's tests.
+//!   [`POOL_FIELDS`] (DESIGN.md §7) and pinned by this module's tests.
 //! * [`EventLog`] — the span-correlated JSONL event log
 //!   (`results/events.jsonl`): one compact serde-free JSON object per
 //!   line, fields fixed by [`EVENT_FIELDS`] (DESIGN.md §13) and pinned
@@ -371,44 +370,37 @@ impl Probe for ProfProbe {
 // ---------------------------------------------------------------------------
 
 /// Schema version stamped on every serialized pool-telemetry batch.
-pub const POOL_VERSION: u64 = 1;
+pub const POOL_VERSION: u64 = 2;
 
 /// Field names of a serialized pool-telemetry batch (batch level plus
-/// the per-worker objects), in writer order (DESIGN.md §16).
-pub const POOL_FIELDS: [&str; 11] = [
+/// the per-worker objects), in writer order (DESIGN.md §7).
+pub const POOL_FIELDS: [&str; 6] = [
     "format_version",
     "wall_ns",
-    "queue_depth",
     "workers",
     "tasks",
     "busy_ns",
     "idle_ns",
-    "owned",
-    "stolen",
-    "steal_attempts",
-    "steal_failures",
 ];
 
 /// Per-worker counters from one [`crate::pool::run_tasks_telemetry`]
 /// batch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerTelemetry {
-    /// Tasks this worker completed (`owned + stolen`).
+    /// Tasks this worker completed.
     pub tasks: u64,
     /// Nanoseconds spent inside task closures, clamped to the batch
     /// wall time so `busy_ns + idle_ns == wall_ns` by construction.
     pub busy_ns: u64,
-    /// Pool wall time minus busy time: time this worker sat idle or
-    /// hunting for work (startup skew, steal sweeps, straggler tail).
+    /// Pool wall time minus busy time: time this worker sat idle
+    /// (thread startup skew, the straggler tail).
     pub idle_ns: u64,
-    /// Tasks taken from this worker's own seeded deque.
-    pub owned: u64,
-    /// Tasks stolen from other workers' deques.
+    /// Always 0 and never serialized: shared-counter dispatch has no
+    /// stealing. It stays only because the sweep benchmark
+    /// (`sweepbench/`) still reads it for its `pool.stolen_frac`
+    /// metric; remove both together in the next change to that
+    /// benchmark.
     pub stolen: u64,
-    /// Steal attempts made (successful or not).
-    pub steal_attempts: u64,
-    /// Steal attempts that came back empty or lost a claim race.
-    pub steal_failures: u64,
 }
 
 /// One task's execution window, for the Perfetto pool track.
@@ -422,9 +414,6 @@ pub struct TaskSpan {
     pub start_ns: u64,
     /// Task duration, ns.
     pub dur_ns: u64,
-    /// Whether the task was stolen rather than taken from the running
-    /// worker's own deque.
-    pub stolen: bool,
 }
 
 /// Scheduler telemetry for one worker-pool batch.
@@ -434,23 +423,18 @@ pub struct PoolTelemetry {
     pub workers: Vec<WorkerTelemetry>,
     /// Every task's execution window, sorted by `(start_ns, index)`.
     pub spans: Vec<TaskSpan>,
-    /// Samples of the source deque's remaining depth, taken at each
-    /// successful dequeue (the claimed task's owning worker's deque,
-    /// whether the claim was a local take or a steal).
-    pub queue_depth: LogHistogram,
     /// Wall time of the whole batch, ns.
     pub wall_ns: u64,
 }
 
 impl PoolTelemetry {
     /// The `metrics.json` fragment for this batch: exactly the
-    /// [`POOL_FIELDS`] keys — wall time, a queue-depth histogram
-    /// summary, and per-worker scheduler counters.
+    /// [`POOL_FIELDS`] keys — wall time and per-worker scheduler
+    /// counters.
     pub fn metrics_json(&self) -> Json {
         Json::obj([
             ("format_version", Json::from(POOL_VERSION)),
             ("wall_ns", Json::from(self.wall_ns)),
-            ("queue_depth", self.queue_depth.summary_json()),
             (
                 "workers",
                 Json::arr(self.workers.iter().map(|w| {
@@ -458,10 +442,6 @@ impl PoolTelemetry {
                         ("tasks", Json::from(w.tasks)),
                         ("busy_ns", Json::from(w.busy_ns)),
                         ("idle_ns", Json::from(w.idle_ns)),
-                        ("owned", Json::from(w.owned)),
-                        ("stolen", Json::from(w.stolen)),
-                        ("steal_attempts", Json::from(w.steal_attempts)),
-                        ("steal_failures", Json::from(w.steal_failures)),
                     ])
                 })),
             ),
@@ -471,9 +451,7 @@ impl PoolTelemetry {
 
 /// Renders pool batches as a Chrome trace-event document: one process
 /// per batch, one thread per worker, one duration slice per task
-/// (named by the caller-supplied label for that task index). Each
-/// slice's `args.stolen` marks whether the task was stolen, so steal
-/// migration reads directly off the track in the Perfetto UI.
+/// (named by the caller-supplied label for that task index).
 pub fn pool_trace_json(batches: &[(PoolTelemetry, Vec<String>)]) -> Json {
     let mut events = Vec::new();
     for (b, (telemetry, labels)) in batches.iter().enumerate() {
@@ -509,7 +487,6 @@ pub fn pool_trace_json(batches: &[(PoolTelemetry, Vec<String>)]) -> Json {
                 ("tid", Json::from(span.worker as u64 + 1)),
                 ("ts", Json::from(span.start_ns / 1_000)),
                 ("dur", Json::from((span.dur_ns / 1_000).max(1))),
-                ("args", Json::obj([("stolen", Json::from(span.stolen))])),
             ]));
         }
     }
@@ -874,10 +851,9 @@ mod tests {
         let telemetry = PoolTelemetry {
             workers: vec![WorkerTelemetry::default(); 2],
             spans: vec![
-                TaskSpan { worker: 0, index: 0, start_ns: 0, dur_ns: 2_000, stolen: false },
-                TaskSpan { worker: 1, index: 1, start_ns: 500, dur_ns: 1_000, stolen: true },
+                TaskSpan { worker: 0, index: 0, start_ns: 0, dur_ns: 2_000 },
+                TaskSpan { worker: 1, index: 1, start_ns: 500, dur_ns: 1_000 },
             ],
-            queue_depth: LogHistogram::new(),
             wall_ns: 2_000,
         };
         let labels = vec!["fig1/mcf".to_string(), "fig2/milc".to_string()];
@@ -887,8 +863,6 @@ mod tests {
         assert!(text.contains("\"fig2/milc\""));
         assert!(text.contains("\"process_name\""));
         assert!(text.contains("\"worker1\""));
-        assert!(text.contains("\"stolen\":true"), "steal attribution missing");
-        assert!(text.contains("\"stolen\":false"));
     }
 
     #[test]
@@ -898,13 +872,9 @@ mod tests {
                 tasks: 3,
                 busy_ns: 10,
                 idle_ns: 2,
-                owned: 2,
-                stolen: 1,
-                steal_attempts: 4,
-                steal_failures: 3,
+                stolen: 0,
             }],
             spans: Vec::new(),
-            queue_depth: LogHistogram::new(),
             wall_ns: 12,
         };
         let parsed = Json::parse(&telemetry.metrics_json().to_compact()).expect("parses");
@@ -926,7 +896,7 @@ mod tests {
         let Json::Obj(worker_pairs) = &worker else {
             panic!("worker entry is not an object")
         };
-        // Batch level: format_version, wall_ns, queue_depth, workers.
+        // Batch level: format_version, wall_ns, workers.
         let Json::Obj(batch_pairs) = &parsed else {
             panic!("batch is not an object")
         };

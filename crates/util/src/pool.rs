@@ -1,211 +1,33 @@
-//! A std-only generic worker pool with a work-stealing scheduler.
+//! A std-only generic worker pool with shared-counter dispatch.
 //!
 //! [`run_tasks`] executes one closure call per input item across a fixed
 //! number of OS threads and returns the results **in input order**. It is
 //! the shared scheduler behind `tdc-harness`'s experiment batches,
 //! `tdc-serve`'s sweep endpoint, and `tdc-lint`'s parallel file scan.
 //!
-//! Scheduling is work stealing over per-worker deques (DESIGN.md §16):
-//! every worker owns a [`StealDeque`] seeded before the threads start
-//! with a deterministic contiguous slice of the task indices. A worker
-//! pops its own deque LIFO; when that runs dry it steals FIFO from
-//! victims chosen by a seeded deterministic rotation, so a straggler's
-//! leftover tasks migrate to whichever cores fall idle. The deque is a
-//! Chase–Lev-style two-ended queue reduced to the pre-seeded case — no
-//! pushes ever happen after the workers start, so the task buffer is
-//! immutable and the whole structure is plain safe Rust: two atomics
-//! and a shared slice, no `unsafe` anywhere.
+//! Dispatch is one loop over one shared `AtomicUsize`: each worker
+//! claims the next unclaimed task index with `fetch_add` until the
+//! counter passes the end of the batch. A worker that finishes early
+//! simply claims the next index, so load balances dynamically without
+//! per-worker queues, and `fetch_add` hands out every index exactly
+//! once.
 //!
 //! Scheduling order must be irrelevant to results: each call should be a
 //! pure function of its item (and index), and every result lands in its
 //! input-index slot, so outputs are bit-identical whether the batch runs
-//! on one thread or sixteen and regardless of which worker stole what.
-//! [`run_tasks`] itself does no timing and no I/O; callers that want
-//! per-task wall-clock or progress reporting do it inside the closure
-//! (see `tdc-harness::pool`).
+//! on one thread or sixteen and whichever worker claimed which index.
 //!
-//! [`run_tasks_telemetry`] is the observable variant: identical results
-//! and scheduling, plus per-worker scheduler telemetry
-//! ([`crate::obs::PoolTelemetry`] — tasks run split into owned vs
-//! stolen, steal attempt/failure counters, busy/idle ns, source-deque
-//! depth samples, per-task spans) for `results/metrics.json` and the
-//! Perfetto pool track. The timing it collects is about the schedule,
-//! never an input to any task, so result determinism is unaffected.
+//! [`run_tasks_telemetry`] is that loop plus per-worker scheduler
+//! telemetry ([`crate::obs::PoolTelemetry`] — tasks run, busy/idle ns,
+//! per-task spans) for `results/metrics.json` and the Perfetto pool
+//! track; [`run_tasks`] is the same call with the telemetry dropped. The
+//! timing it collects is about the schedule, never an input to any task,
+//! so result determinism is unaffected.
 
-use crate::obs::{LogHistogram, PoolTelemetry, TaskSpan, WorkerTelemetry};
-use std::sync::atomic::{fence, AtomicIsize, Ordering};
+use crate::obs::{PoolTelemetry, TaskSpan, WorkerTelemetry};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant; // tdc-lint: allow(time-source) schedule telemetry only
-
-/// Outcome of one [`StealDeque::steal`] attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Steal {
-    /// A task index was claimed.
-    Task(usize),
-    /// The deque was observed empty; it will stay empty (no pushes).
-    Empty,
-    /// Lost a claim race with the owner or another thief; retry.
-    Retry,
-}
-
-/// A pre-seeded Chase–Lev-style work-stealing deque of task indices.
-///
-/// The general Chase–Lev deque lets the owner push while thieves steal,
-/// which forces a growable circular buffer and `unsafe` publication. The
-/// pool never pushes after workers start — every deque is seeded once,
-/// up front, with its worker's slice of the batch — so the buffer here
-/// is an immutable `Vec<usize>` and only two atomic cursors move:
-/// `top` (the steal end, monotonically increasing under CAS) and
-/// `bottom` (the owner end, moved only by the owner). The memory-order
-/// protocol is the published C11 formulation (SeqCst fences on the
-/// owner-take and thief-steal paths, CAS on `top` for the last-element
-/// race), which guarantees each seeded index is claimed exactly once.
-///
-/// `take` is owner-only by contract: it is safe Rust either way, but
-/// calling it from two threads concurrently can double-claim an index.
-/// `steal` may be called from any number of threads.
-#[derive(Debug)]
-pub struct StealDeque {
-    tasks: Vec<usize>,
-    /// Next index to steal (FIFO end). Only ever incremented, via CAS.
-    top: AtomicIsize,
-    /// One past the next index to take (LIFO end). Owner-written.
-    bottom: AtomicIsize,
-}
-
-impl StealDeque {
-    /// A deque holding `tasks`, all still unclaimed. The owner's
-    /// [`StealDeque::take`] consumes from the back of the vector,
-    /// thieves' [`StealDeque::steal`] from the front.
-    pub fn seeded(tasks: Vec<usize>) -> Self {
-        let n = tasks.len() as isize;
-        Self {
-            tasks,
-            top: AtomicIsize::new(0),
-            bottom: AtomicIsize::new(n),
-        }
-    }
-
-    /// Owner-side LIFO pop: claims the back-most unclaimed index, or
-    /// `None` once the deque is drained (which is permanent — there
-    /// are no pushes, so `None` means this deque is done).
-    pub fn take(&self) -> Option<usize> {
-        let b = self.bottom.load(Ordering::Relaxed) - 1;
-        self.bottom.store(b, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        let t = self.top.load(Ordering::Relaxed);
-        if t < b {
-            // At least two entries remain; no thief can reach index b.
-            return Some(self.tasks[b as usize]);
-        }
-        if t == b {
-            // Last entry: race any thieves for it on the `top` cursor.
-            let won = self
-                .top
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok();
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            return if won { Some(self.tasks[b as usize]) } else { None };
-        }
-        // Empty: restore bottom so cursors stay in the canonical range.
-        self.bottom.store(b + 1, Ordering::Relaxed);
-        None
-    }
-
-    /// Thief-side FIFO steal: claims the front-most unclaimed index.
-    /// Because the buffer is immutable, a successful CAS on `top` is
-    /// the entire claim — there is no use-after-reclaim window.
-    pub fn steal(&self) -> Steal {
-        let t = self.top.load(Ordering::Acquire);
-        fence(Ordering::SeqCst);
-        let b = self.bottom.load(Ordering::Acquire);
-        if t >= b {
-            return Steal::Empty;
-        }
-        if self
-            .top
-            .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok()
-        {
-            Steal::Task(self.tasks[t as usize])
-        } else {
-            Steal::Retry
-        }
-    }
-
-    /// Unclaimed entries remaining. Exact when no other thread is
-    /// mid-claim; otherwise a snapshot (telemetry uses it as such).
-    pub fn len(&self) -> usize {
-        let t = self.top.load(Ordering::Relaxed);
-        let b = self.bottom.load(Ordering::Relaxed);
-        (b - t).max(0) as usize
-    }
-
-    /// Whether [`StealDeque::len`] is zero.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Seeds one deque per worker with a contiguous slice of `0..total`,
-/// back-loaded so the owner's LIFO pops walk the slice in ascending
-/// index order while thieves chew from the descending end.
-fn seed_deques(total: usize, threads: usize) -> Vec<StealDeque> {
-    (0..threads)
-        .map(|w| {
-            let lo = w * total / threads;
-            let hi = (w + 1) * total / threads;
-            StealDeque::seeded((lo..hi).rev().collect())
-        })
-        .collect()
-}
-
-/// Deterministic starting offset of worker `me`'s victim rotation
-/// (SplitMix64 finalizer over the worker id — seeded, not random).
-fn rotation_start(me: usize, threads: usize) -> usize {
-    let mut z = (me as u64) ^ 0x9E37_79B9_7F4A_7C15;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % threads as u64) as usize
-}
-
-/// Outcome of one full sweep of steal attempts over every other
-/// worker's deque, in rotation order from `start`.
-enum Sweep {
-    /// Claimed `index`; `depth` is the victim deque's remaining size.
-    Stolen { index: usize, depth: usize, attempts: u64 },
-    /// Every victim observed empty: the whole batch is claimed.
-    Drained { attempts: u64 },
-    /// Nothing claimed but at least one race lost: sweep again.
-    Contended { attempts: u64 },
-}
-
-fn sweep(deques: &[StealDeque], me: usize, start: usize) -> Sweep {
-    let n = deques.len();
-    let mut attempts = 0;
-    let mut contended = false;
-    for step in 0..n {
-        let victim = (start + step) % n;
-        if victim == me {
-            continue;
-        }
-        attempts += 1;
-        match deques[victim].steal() {
-            Steal::Task(index) => {
-                let depth = deques[victim].len();
-                return Sweep::Stolen { index, depth, attempts };
-            }
-            Steal::Retry => contended = true,
-            Steal::Empty => {}
-        }
-    }
-    if contended {
-        Sweep::Contended { attempts }
-    } else {
-        Sweep::Drained { attempts }
-    }
-}
 
 /// Runs `work(index, &items[index])` for every item on `threads` worker
 /// threads and returns the results in input order.
@@ -218,58 +40,16 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let total = items.len();
-    if total == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, total);
-    let deques = seed_deques(total, threads);
-    let slots: Vec<Mutex<Option<R>>> = (0..total).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        let (work, deques, slots) = (&work, &deques, &slots);
-        for me in 0..threads {
-            scope.spawn(move || {
-                let run = |i: usize| {
-                    let result = work(i, &items[i]);
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                };
-                while let Some(i) = deques[me].take() {
-                    run(i);
-                }
-                let mut start = rotation_start(me, threads);
-                loop {
-                    match sweep(deques, me, start) {
-                        Sweep::Stolen { index, .. } => run(index),
-                        Sweep::Contended { .. } => std::hint::spin_loop(),
-                        Sweep::Drained { .. } => break,
-                    }
-                    start = (start + 1) % threads;
-                }
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker scope joined with task unfinished")
-        })
-        .collect()
+    run_tasks_telemetry(items, threads, work).0
 }
 
-/// Like [`run_tasks`], additionally collecting scheduler telemetry:
-/// per-worker task counts with owned-vs-stolen attribution, steal
-/// attempt/failure counters, busy/idle time, source-deque depth samples
-/// at each dequeue, and one span per task for trace export.
+/// Like [`run_tasks`], additionally returning scheduler telemetry:
+/// per-worker task counts and busy/idle time, and one span per task
+/// for trace export.
 ///
-/// The results vector is computed exactly as [`run_tasks`] computes it;
-/// only the telemetry side-channel differs. Per worker, `busy_ns` is
-/// clamped to the batch wall time and `idle_ns` is the remainder, so
-/// `busy + idle == wall` holds by construction and straggler tails
-/// (the work-stealing motivation) read directly off `idle_ns`.
+/// Per worker, `busy_ns` is clamped to the batch wall time and
+/// `idle_ns` is the remainder, so `busy + idle == wall` holds by
+/// construction and straggler tails read directly off `idle_ns`.
 pub fn run_tasks_telemetry<T, R, F>(
     items: &[T],
     threads: usize,
@@ -285,73 +65,34 @@ where
         return (Vec::new(), PoolTelemetry::default());
     }
     let threads = threads.clamp(1, total);
-    let deques = seed_deques(total, threads);
+    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    #[derive(Default)]
-    struct WorkerLog {
-        owned: u64,
-        stolen: u64,
-        steal_attempts: u64,
-        steal_failures: u64,
-        busy_ns: u64,
-        spans: Vec<TaskSpan>,
-        depth: LogHistogram,
-    }
     let launch = Instant::now(); // tdc-lint: allow(time-source)
 
-    let logs: Vec<WorkerLog> = std::thread::scope(|scope| {
-        let (work, deques, slots) = (&work, &deques, &slots);
+    let logs: Vec<(u64, Vec<TaskSpan>)> = std::thread::scope(|scope| {
+        let (work, next, slots) = (&work, &next, &slots);
         let handles: Vec<_> = (0..threads)
-            .map(|me| {
+            .map(|worker| {
                 scope.spawn(move || {
-                    let mut log = WorkerLog::default();
-                    let mut start = rotation_start(me, threads);
+                    let (mut busy_ns, mut spans) = (0u64, Vec::new());
                     loop {
-                        // Claim a task: own deque first, then steal.
-                        let (i, stolen, depth) = if let Some(i) = deques[me].take() {
-                            (i, false, deques[me].len())
-                        } else {
-                            match sweep(deques, me, start) {
-                                Sweep::Stolen { index, depth, attempts } => {
-                                    log.steal_attempts += attempts;
-                                    log.steal_failures += attempts - 1;
-                                    start = (start + 1) % threads;
-                                    (index, true, depth)
-                                }
-                                Sweep::Contended { attempts } => {
-                                    log.steal_attempts += attempts;
-                                    log.steal_failures += attempts;
-                                    start = (start + 1) % threads;
-                                    std::hint::spin_loop();
-                                    continue;
-                                }
-                                Sweep::Drained { attempts } => {
-                                    log.steal_attempts += attempts;
-                                    log.steal_failures += attempts;
-                                    break;
-                                }
-                            }
-                        };
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= total {
+                            break;
+                        }
                         let begin = Instant::now(); // tdc-lint: allow(time-source)
                         let result = work(i, &items[i]);
                         let dur_ns = begin.elapsed().as_nanos() as u64;
                         *slots[i].lock().expect("result slot poisoned") = Some(result);
-                        if stolen {
-                            log.stolen += 1;
-                        } else {
-                            log.owned += 1;
-                        }
-                        log.busy_ns += dur_ns;
-                        log.depth.record(depth as u64);
-                        log.spans.push(TaskSpan {
-                            worker: me,
+                        busy_ns += dur_ns;
+                        spans.push(TaskSpan {
+                            worker,
                             index: i,
                             start_ns: begin.duration_since(launch).as_nanos() as u64,
                             dur_ns,
-                            stolen,
                         });
                     }
-                    log
+                    (busy_ns, spans)
                 })
             })
             .collect();
@@ -366,21 +107,17 @@ where
         wall_ns,
         ..PoolTelemetry::default()
     };
-    for log in logs {
+    for (busy_ns, spans) in logs {
         // Clamp so `busy + idle == wall` holds exactly: per-task timer
         // reads can sum past the single wall read on a loaded host.
-        let busy_ns = log.busy_ns.min(wall_ns);
+        let busy_ns = busy_ns.min(wall_ns);
         telemetry.workers.push(WorkerTelemetry {
-            tasks: log.owned + log.stolen,
+            tasks: spans.len() as u64,
             busy_ns,
             idle_ns: wall_ns - busy_ns,
-            owned: log.owned,
-            stolen: log.stolen,
-            steal_attempts: log.steal_attempts,
-            steal_failures: log.steal_failures,
+            stolen: 0,
         });
-        telemetry.queue_depth.merge(&log.depth);
-        telemetry.spans.extend(log.spans);
+        telemetry.spans.extend(spans);
     }
     telemetry.spans.sort_by_key(|s| (s.start_ns, s.index));
     let results = slots
@@ -435,24 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn deque_seeding_is_contiguous_and_owner_ascending() {
-        let deques = seed_deques(10, 3);
-        assert_eq!(deques.len(), 3);
-        let mut covered = Vec::new();
-        for d in &deques {
-            let mut mine = Vec::new();
-            while let Some(i) = d.take() {
-                mine.push(i);
-            }
-            // Owner-side pops walk the slice in ascending index order.
-            assert!(mine.windows(2).all(|w| w[0] < w[1]), "{mine:?}");
-            covered.extend(mine);
-        }
-        covered.sort_unstable();
-        assert_eq!(covered, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn telemetry_variant_matches_plain_results() {
         let items: Vec<u64> = (0..50).collect();
         let f = |i: usize, &x: &u64| x.wrapping_mul(i as u64 + 3);
@@ -463,40 +182,20 @@ mod tests {
         let tasks: u64 = telemetry.workers.iter().map(|w| w.tasks).sum();
         assert_eq!(tasks, 50);
         assert_eq!(telemetry.spans.len(), 50);
-        assert_eq!(telemetry.queue_depth.count(), 50);
         // Every input index executed exactly once.
         let mut seen: Vec<usize> = telemetry.spans.iter().map(|s| s.index).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..50).collect::<Vec<_>>());
-        for w in &telemetry.workers {
+        for (id, w) in telemetry.workers.iter().enumerate() {
             assert_eq!(
                 w.busy_ns + w.idle_ns,
                 telemetry.wall_ns,
                 "busy + idle must equal the batch wall time exactly"
             );
-            assert_eq!(w.tasks, w.owned + w.stolen, "attribution must cover tasks");
+            let spans = telemetry.spans.iter().filter(|s| s.worker == id).count();
+            assert_eq!(w.tasks, spans as u64, "span attribution must cover tasks");
+            assert_eq!(w.stolen, 0);
         }
-        // Span attribution agrees with the per-worker counters.
-        let stolen_spans = telemetry.spans.iter().filter(|s| s.stolen).count() as u64;
-        let stolen_total: u64 = telemetry.workers.iter().map(|w| w.stolen).sum();
-        assert_eq!(stolen_spans, stolen_total);
-    }
-
-    #[test]
-    fn skewed_workload_records_steals() {
-        // One boulder at the front of worker 0's slice, pebbles behind
-        // it: the other workers drain their slices and must steal the
-        // boulder-owner's leftovers for the batch to finish.
-        let items: Vec<u64> = (0..64).map(|i| if i == 0 { 200_000 } else { 50 }).collect();
-        let (_, telemetry) = run_tasks_telemetry(&items, 4, |_, &spin| {
-            let mut acc = 0u64;
-            for k in 0..spin {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-            }
-            acc
-        });
-        let attempts: u64 = telemetry.workers.iter().map(|w| w.steal_attempts).sum();
-        assert!(attempts > 0, "a skewed batch must at least attempt steals");
     }
 
     #[test]
@@ -505,6 +204,6 @@ mod tests {
         let (out, telemetry) = run_tasks_telemetry(&none, 4, |_, &x| x);
         assert!(out.is_empty());
         assert!(telemetry.workers.is_empty());
-        assert_eq!(telemetry.queue_depth.count(), 0);
+        assert!(telemetry.spans.is_empty());
     }
 }

@@ -1,117 +1,32 @@
-//! Property suite for the work-stealing scheduler (DESIGN.md §16).
+//! Property suite for the shared-counter worker pool (DESIGN.md §7).
 //!
-//! Layers, smallest to largest: seeded testkit trace replay of the
-//! [`StealDeque`] against a `VecDeque` reference (take ≡ pop-back,
-//! steal ≡ pop-front), a concurrent exactly-once claim stress over the
-//! owner/thief race paths, the pool's degenerate schedules (one worker,
-//! oversubscription, empty input), and the cross-jobs determinism pin:
-//! `run_tasks` over a skewed workload must return byte-identical
-//! results for jobs ∈ {1, 4, 16}.
+//! Layers, smallest to largest: the exactly-once claim property over
+//! many concurrent batches, the pool's degenerate schedules (one
+//! worker, oversubscription, empty input), and the cross-jobs
+//! determinism pin: `run_tasks` over a skewed workload must return
+//! byte-identical results for jobs ∈ {1, 4, 16}.
 
-use std::collections::VecDeque;
-use tdc_util::pool::{run_tasks, run_tasks_telemetry, Steal, StealDeque};
-use tdc_util::testkit::{assert_equiv, XorShift64};
-
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Take,
-    Steal,
-}
-
-/// Seeded trace: a deque size in `1..=64` and a mixed take/steal
-/// op stream, both derived from one `XorShift64` stream.
-fn gen_trace(seed: u64, len: usize) -> (Vec<usize>, Vec<Op>) {
-    let mut rng = XorShift64::new(seed);
-    let n = 1 + rng.below(64) as usize;
-    let tasks: Vec<usize> = (0..n).collect();
-    let ops = (0..len)
-        .map(|_| if rng.chance(55) { Op::Take } else { Op::Steal })
-        .collect();
-    (tasks, ops)
-}
-
-/// Replays a prefix against the deque and the reference. Run on one
-/// thread, `Steal::Retry` is unreachable and `len` is exact, so the
-/// deque must agree with the reference after every single op — which
-/// is what lets `assert_equiv` binary-search a minimal failing prefix.
-fn replay(tasks: &[usize], prefix: &[Op]) -> Result<(), String> {
-    let deque = StealDeque::seeded(tasks.to_vec());
-    let mut model: VecDeque<usize> = tasks.iter().copied().collect();
-    for (step, op) in prefix.iter().enumerate() {
-        match op {
-            Op::Take => {
-                let got = deque.take();
-                let want = model.pop_back();
-                if got != want {
-                    return Err(format!("[{step}] take: deque {got:?}, reference {want:?}"));
-                }
-            }
-            Op::Steal => {
-                let got = deque.steal();
-                match (got, model.pop_front()) {
-                    (Steal::Task(g), Some(w)) if g == w => {}
-                    (Steal::Empty, None) => {}
-                    (got, want) => {
-                        return Err(format!("[{step}] steal: deque {got:?}, reference {want:?}"))
-                    }
-                }
-            }
-        }
-        if deque.len() != model.len() {
-            return Err(format!(
-                "[{step}] len: deque {}, reference {}",
-                deque.len(),
-                model.len()
-            ));
-        }
-        if deque.is_empty() != model.is_empty() {
-            return Err(format!("[{step}] is_empty disagrees"));
-        }
-    }
-    Ok(())
-}
+use std::sync::atomic::{AtomicU32, Ordering};
+use tdc_util::pool::{run_tasks, run_tasks_telemetry};
 
 #[test]
-fn deque_matches_vecdeque_reference_across_seeds() {
-    for seed in [1u64, 42, 0xDEAD_BEEF, 0x1234_5678_9ABC_DEF0] {
-        let (tasks, ops) = gen_trace(seed, 200);
-        assert_equiv(&format!("steal-deque seed {seed}"), &ops, |prefix| {
-            replay(&tasks, prefix)
-        });
-    }
-}
-
-#[test]
-fn concurrent_take_and_steal_claim_each_index_exactly_once() {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    // Varied sizes and thief counts to shake the last-element CAS race
-    // (t == b in `take`) from both sides.
-    for &(n, thieves) in &[(64usize, 7usize), (1000, 3), (5000, 2)] {
-        let deque = StealDeque::seeded((0..n).collect());
-        let claims: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(0)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..thieves {
-                scope.spawn(|| loop {
-                    match deque.steal() {
-                        Steal::Task(i) => {
-                            claims[i].fetch_add(1, Ordering::Relaxed);
-                        }
-                        Steal::Retry => std::hint::spin_loop(),
-                        Steal::Empty => break,
-                    }
-                });
-            }
-            scope.spawn(|| {
-                while let Some(i) = deque.take() {
-                    claims[i].fetch_add(1, Ordering::Relaxed);
-                }
+fn every_index_runs_exactly_once() {
+    // Batch sizes vary from 1 to 200 so the counter's end-of-batch
+    // race is hit at every worker count, oversubscribed included.
+    for jobs in [2usize, 16] {
+        for batch in 1..=200usize {
+            let items: Vec<usize> = (0..batch).collect();
+            let runs: Vec<AtomicU32> = (0..batch).map(|_| AtomicU32::new(0)).collect();
+            let out = run_tasks(&items, jobs, |i, &x| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                x
             });
-        });
-        for (i, c) in claims.iter().enumerate() {
-            let count = c.load(Ordering::Relaxed);
-            assert_eq!(count, 1, "index {i}: {count} claims (n={n}, thieves={thieves})");
+            assert_eq!(out, items, "jobs={jobs} batch={batch}: results out of order");
+            for (i, r) in runs.iter().enumerate() {
+                let n = r.load(Ordering::Relaxed);
+                assert_eq!(n, 1, "jobs={jobs} batch={batch}: index {i} ran {n} times");
+            }
         }
-        assert!(deque.is_empty());
     }
 }
 
@@ -122,9 +37,9 @@ fn one_worker_degenerate_case_never_steals() {
     assert_eq!(out, (0..40).map(|x| x * 2).collect::<Vec<_>>());
     assert_eq!(telemetry.workers.len(), 1);
     let w = &telemetry.workers[0];
-    assert_eq!((w.owned, w.stolen), (40, 0));
-    assert_eq!((w.steal_attempts, w.steal_failures), (0, 0));
+    assert_eq!(w.tasks, 40);
     assert_eq!(w.busy_ns + w.idle_ns, telemetry.wall_ns);
+    assert_eq!(w.stolen, 0);
 }
 
 #[test]
@@ -150,9 +65,9 @@ fn empty_input_produces_no_workers_and_no_spans() {
 
 #[test]
 fn cross_jobs_results_are_byte_identical_on_a_skewed_workload() {
-    // Heterogeneous task costs clustered on a stride, mimicking the
-    // figure-batch shape that motivates stealing: some workers' seeded
-    // slices drain early and finish the batch off stolen tasks.
+    // Heterogeneous task costs clustered on a stride, mimicking a
+    // figure batch: workers that draw cheap tasks claim more of them
+    // while the expensive ones run.
     let items: Vec<u64> = (0..96)
         .map(|i| if i % 17 == 0 { 40_000 } else { 100 + i })
         .collect();

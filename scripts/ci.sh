@@ -49,18 +49,27 @@ grep -q '"executed": 0' "$out/warm/metrics.json" \
 diff -q "$out/index.json" "$out/warm/index.json" >/dev/null \
     || { echo "warm run diverged from the cold run" >&2; exit 1; }
 
-echo "== smoke: tdc all --jobs 16 (steal path, byte-identical to --jobs 2) =="
-# Oversubscribed on purpose: with more workers than most batches have
-# tasks, every non-trivial batch exercises the work-stealing sweep
-# (DESIGN.md §16). No store, so every cell actually executes.
-./target/release/tdc all --jobs 16 --scale 0.05 --quiet --out "$out/steal"
-for f in "$out/steal"/*.json; do
-    base="$(basename "$f")"
-    [ "$base" = metrics.json ] && continue # wall-clock telemetry, not gated
-    diff -q "$out/$base" "$f" >/dev/null \
-        || { echo "--jobs 16 run diverged from --jobs 2 on $base" >&2; exit 1; }
-done
-grep -q '"steal_attempts"' "$out/steal/metrics.json" \
+# Cross-jobs byte identity against the --jobs 2 run in "$out": every
+# artifact except the two wall-clock ones (metrics.json and
+# trace/pool.trace.json) must match, and both runs must have written
+# the same number of per-cell reports under runs/.
+same_as_jobs2() { # <run dir> <label>
+    local f
+    for f in $(cd "$1" && find . -type f ! -name metrics.json ! -path ./trace/pool.trace.json); do
+        cmp -s "$1/$f" "$out/$f" \
+            || { echo "$2 run diverged from --jobs 2 on $f" >&2; exit 1; }
+    done
+    [ "$(ls "$1/runs" | wc -l)" = "$(ls "$out/runs" | wc -l)" ] \
+        || { echo "$2 run wrote a different number of runs" >&2; exit 1; }
+}
+
+echo "== smoke: tdc all --jobs 16 (oversubscribed, byte-identical to --jobs 2) =="
+# More workers than most batches have tasks, so workers race for the
+# last indices of the shared dispatch counter. No store, so every cell
+# actually executes.
+./target/release/tdc all --jobs 16 --scale 0.05 --quiet --out "$out/over"
+same_as_jobs2 "$out/over" "--jobs 16"
+grep -q '"pool"' "$out/over/metrics.json" && grep -q '"busy_ns"' "$out/over/metrics.json" \
     || { echo "--jobs 16 run recorded no scheduler telemetry" >&2; exit 1; }
 
 echo "== smoke: tdc all --jobs 1 (trace prefetch path, byte-identical to --jobs 2) =="
@@ -68,12 +77,7 @@ echo "== smoke: tdc all --jobs 1 (trace prefetch path, byte-identical to --jobs 
 # generate their traces on producer threads (DESIGN.md §7.1).
 # metrics.json records that decision next to the CPU count it saw.
 ./target/release/tdc all --jobs 1 --scale 0.05 --quiet --out "$out/serial"
-for f in $(cd "$out/serial" && find . -type f ! -name metrics.json ! -name pool.trace.json); do
-    cmp -s "$out/serial/$f" "$out/$f" \
-        || { echo "--jobs 1 run diverged from --jobs 2 on $f" >&2; exit 1; }
-done
-[ "$(ls "$out/serial/runs" | wc -l)" = "$(ls "$out/runs" | wc -l)" ] \
-    || { echo "--jobs 1 run wrote a different set of runs" >&2; exit 1; }
+same_as_jobs2 "$out/serial" "--jobs 1"
 cpus="$(sed -n 's/^ *"host_cpus": \([0-9]*\).*/\1/p' "$out/serial/metrics.json")"
 feed="$(sed -n 's/^ *"trace_feed": "\([a-z]*\)".*/\1/p' "$out/serial/metrics.json")"
 expected=inline
